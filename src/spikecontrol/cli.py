@@ -72,16 +72,12 @@ def _build_scenario(command: str, args, cfg: dict):
         seed = cfg.pop("seed", 0)
     else:
         cfg.pop("seed", None)
-    sc = builder(int(seed))
-    sc = apply_config(sc, cfg)
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.neurons is not None:
-        overrides["n_neurons"] = args.neurons
-    return replace(sc, **overrides) if overrides else sc
+    # Flags are applied as the config keys they stand for, so a bad flag
+    # value is a usage error (exit 2) exactly like a bad config value.
+    flags = {"integration.dt": args.dt, "integration.duration": args.duration,
+             "network.n_neurons": args.neurons}
+    cfg.update({key: value for key, value in flags.items() if value is not None})
+    return apply_config(builder(int(seed)), cfg)
 
 
 def _stride(sc) -> int:
@@ -149,7 +145,7 @@ def run(argv=None) -> int:
             "master_seed": sc.master_seed,
             "noise_grid": result.meta["noise_grid"],
             "pulse_grid": result.meta["pulse_grid"],
-            "failed_cells": [list(cell[:2]) for cell in result.failed_cells],
+            "failed_cells": [list(cell) for cell in result.failed_cells],
             "artifact_choices": result.meta["artifact_choices"],
         }, out / "summary.json")
         _, weights = ex.build_network(sc)

@@ -5,15 +5,19 @@ labelled streams, the spiking network and the ideal LQG loop consume the same
 disturbance/sensor realizations, and all outputs (trajectory, raster, summary)
 replay bit-for-bit under the same seed.
 
-Trajectory row convention: row i carries time t_i = i*dt, the plant state
-*before* the step, the observation consumed during the step, and the decodes
-(x_hat, z_hat, u) *after* the step — i.e. the estimate that has absorbed y_i
-and the control that drove the plant from t_i to t_{i+1}. The oracle columns
-follow the same alignment. Cartpole trajectories are recorded in deviation
-coordinates about the upright equilibrium (pole angle column is theta - pi).
+`run_control`, `run_cartpole` and every cell of `run_robustness_sweep` run
+through one closed-loop kernel, `_closed_loop`; `run_estimation` is the
+open-loop counterpart. Trajectory row convention: row i carries time
+t_i = i*dt, the plant state *before* the step, the observation consumed during
+the step, and the decodes (x_hat, z_hat, u) *after* the step — i.e. the
+estimate that has absorbed y_i and the control that drove the plant from t_i
+to t_{i+1}. The oracle columns follow the same alignment. Plant states are
+recorded in the network's coordinates, about the plant's equilibrium: the
+cartpole's pole angle column is theta - pi.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,10 +121,18 @@ class Scenario:
         if self.n_neurons < 1:
             raise ValueError("need at least one neuron")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        state_dim = _plant_matrices(self.plant)[0].shape[0]
+        if self.x0.size != state_dim:
+            raise ValueError(f"x0 has {self.x0.size} entries, but the "
+                             f"{type(self.plant).__name__} state has {state_dim}")
         if self.silencing:
             self.silencing = sorted(
                 (float(t), tuple(int(i) for i in ids)) for t, ids in self.silencing
             )
+            ids = [i for _, block in self.silencing for i in block]
+            if ids and not (0 <= min(ids) and max(ids) < self.n_neurons):
+                raise ValueError(f"silencing ids {min(ids)}..{max(ids)} are out of "
+                                 f"range for n_neurons={self.n_neurons}")
 
     @property
     def n_steps(self) -> int:
@@ -226,17 +238,20 @@ class SparsityResult:
     trajectories: list
 
 
+def _plant_matrices(plant):
+    """(A, B, C) of the plant, linearized about its equilibrium."""
+    if isinstance(plant, SmdParams):
+        return smd_system(plant)
+    if isinstance(plant, CartpoleParams):
+        return cartpole_linearize_up(plant)
+    raise TypeError(f"unsupported plant {type(plant).__name__}")
+
+
 def _linear_system(sc: Scenario) -> LinearSystem:
-    if isinstance(sc.plant, SmdParams):
-        A, B, C = smd_system(sc.plant)
-    elif isinstance(sc.plant, CartpoleParams):
-        A, B, C = cartpole_linearize_up(sc.plant)
-    else:
-        raise TypeError(f"unsupported plant {type(sc.plant).__name__}")
-    obs_dim = C.shape[0]
+    A, B, C = _plant_matrices(sc.plant)
     return LinearSystem(A=A, B=B, C=C,
                         sigma_d=sc.sigma_d * np.eye(A.shape[0]),
-                        sigma_n=sc.sigma_n * np.eye(obs_dim))
+                        sigma_n=sc.sigma_n * np.eye(C.shape[0]))
 
 
 def _decoders(sc: Scenario, state_dim: int, need_z: bool):
@@ -249,26 +264,47 @@ def _decoders(sc: Scenario, state_dim: int, need_z: bool):
     return dec_x, dec_z
 
 
-def build_network(sc: Scenario):
-    """Construct the scenario's network; returns (system, weights)."""
+def _network(sc: Scenario):
+    """(system, K_f, K_c, weights) of the scenario; K_c is None and the
+    network an estimator when the scenario has no cost."""
     system = _linear_system(sc)
     kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
     if sc.cost is None:
         dec_x, _ = _decoders(sc, system.state_dim, need_z=False)
-        return system, build_estimator(system, kf, dec_x, sc.leak)
+        return system, kf, None, build_estimator(system, kf, dec_x, sc.leak)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
     dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
-    return system, build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
+    return system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
 
 
-def _noise_sources(sc: Scenario, system: LinearSystem):
+def build_network(sc: Scenario):
+    """Construct the scenario's network; returns (system, weights)."""
+    system, _, _, weights = _network(sc)
+    return system, weights
+
+
+def _noise_rows(sc: Scenario, system: LinearSystem):
+    """Per-step (disturbance, sensor, voltage-noise) rows, already scaled;
+    the voltage rows come from a generator."""
     dist = NoiseSource(sc.sigma_d * np.eye(system.state_dim), sc.master_seed,
                        StreamLabel.DISTURBANCE)
     sens = NoiseSource(sc.sigma_n * np.eye(system.obs_dim), sc.master_seed,
                        StreamLabel.SENSOR)
     volt = NoiseSource(sc.eta_v ** 2 * np.eye(sc.n_neurons), sc.master_seed,
                        StreamLabel.VOLTAGE)
-    return dist, sens, volt
+    n, sdt = sc.n_steps, np.sqrt(sc.dt)
+    w = sdt * dist.sample_block(n)
+    e = sens.sample_block(n)
+    return w, e, (sdt * row for row in _voltage_rows(volt, n))
+
+
+def _reference_rows(sc: Scenario):
+    """Per-step (z, zdot, pulse force) rows of a closed-loop run; the pulse
+    rows are None when the scenario has no pulse."""
+    n, dt = sc.n_steps, sc.dt
+    z, zdot = sc.reference.sample_grid(n, dt)
+    pulse = sc.pulse.profile(np.arange(n) * dt) if sc.pulse is not None else None
+    return z, zdot, pulse
 
 
 def _voltage_rows(source: NoiseSource, n: int, block: int = 16384):
@@ -309,20 +345,12 @@ def run_estimation(sc: Scenario) -> Trajectory:
     """Simulate the noisy plant with u=0 and estimate it with SCN and oracle."""
     if sc.name != "estimation":
         raise ValueError("run_estimation needs an estimation scenario")
-    system = _linear_system(sc)
-    kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
-    dec_x, _ = _decoders(sc, system.state_dim, need_z=False)
-    weights = build_estimator(system, kf, dec_x, sc.leak)
+    system, kf, _, weights = _network(sc)
     st = new_state(weights)
     est = LqgState(np.zeros(system.state_dim))
 
     n, dt = sc.n_steps, sc.dt
-    dist, sens, volt = _noise_sources(sc, system)
-    w = np.sqrt(dt) * dist.sample_block(n)
-    e = sens.sample_block(n)
-    vrows = _voltage_rows(volt, n)
-    sdt = np.sqrt(dt)
-
+    w, e, vrows = _noise_rows(sc, system)
     A, C = system.A, system.C
     dxv = weights.decoder_x.values
     u0 = np.zeros(system.input_dim)
@@ -333,7 +361,7 @@ def run_estimation(sc: Scenario) -> Trajectory:
     x = sc.x0.copy()
     for i in range(n):
         y = C @ x + e[i]
-        network_step(weights, st, dt, y=y, u=u0, noise=sdt * next(vrows))
+        network_step(weights, st, dt, y=y, u=u0, noise=next(vrows))
         estimator_step(system, kf, est, y, u0, dt)
         X[i] = x
         Y[i] = y
@@ -343,6 +371,87 @@ def run_estimation(sc: Scenario) -> Trajectory:
     return Trajectory(time=np.arange(n) * dt, x=X, y=Y, x_hat=XH,
                       oracle_x_hat=OXH, spikes=list(st.spike_log),
                       meta=_meta(sc))
+
+
+def _plant_model(sc: Scenario, system: LinearSystem):
+    """(rate, equilibrium, guard) of the scenario's plant.
+
+    rate(x, u) is the state derivative; the network's coordinates are taken
+    about the equilibrium; guard(i, x, xo) runs after every Euler step.
+    """
+    if not isinstance(sc.plant, CartpoleParams):
+        A, B = system.A, system.B
+        return (lambda x, u: A @ x + B @ u), np.zeros(system.state_dim), None
+    p, dt = sc.plant, sc.dt
+
+    def pole_guard(i, x, xo):
+        for state, loop in ((x, ""), (xo, ", ideal loop")):
+            if abs(state[2] - np.pi) > np.pi / 2:
+                raise PoleDroppedError(
+                    f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
+
+    return (lambda x, u: cartpole_dynamics(p, x, u[0])), CARTPOLE_UP, pole_guard
+
+
+def _closed_loop(sc: Scenario, net, noise, reference):
+    """The spiking controller and the ideal LQG loop on twin plants.
+
+    `net` is (system, K_f, K_c, weights); `noise` holds the (disturbance,
+    sensor, voltage) rows and `reference` the (z, zdot, pulse) rows, one per
+    step, as the runner prepared them; both loops consume the same rows. The
+    plant model, start state, step and silencing schedule come from the
+    scenario. Returns (trajectory, final SCN plant state, final ideal plant
+    state), the states in network coordinates. Raises NetworkDivergedError
+    when a final plant state is not finite.
+    """
+    system, kf, kc, weights = net
+    w, e, eta = noise
+    eta = iter(eta)
+    z, zdot, pulse = reference
+    rate, x_eq, guard = _plant_model(sc, system)
+    n, dt = sc.n_steps, sc.dt
+    time = np.arange(n) * dt
+    kills = list(sc.silencing or [])
+    ki = 0
+    st = new_state(weights)
+    est = LqgState(np.zeros(system.state_dim))
+
+    C = system.C
+    dxv, dzv = weights.decoder_x.values, weights.decoder_z.values
+    K, P = system.state_dim, system.input_dim
+    X, XH, ZH, OXH, OX = (np.empty((n, K)) for _ in range(5))
+    Y = np.empty((n, system.obs_dim))
+    U, OU = np.empty((n, P)), np.empty((n, P))
+    x = sc.x0.copy()
+    xo = sc.x0.copy()
+    for i in range(n):
+        t = time[i]
+        while ki < len(kills) and t >= kills[ki][0] - 1e-9:
+            silence(st, kills[ki][1], t)
+            ki += 1
+        dev = x - x_eq
+        y = C @ dev + e[i]
+        network_step(weights, st, dt, y=y, z=z[i], zdot=zdot[i], noise=next(eta))
+        xh = dxv @ st.r
+        zh = dzv @ st.r
+        u = -(kc @ (xh - zh))
+        devo = xo - x_eq
+        lqg_step(system, kf, kc, est, C @ devo + e[i], z[i], dt)
+        X[i], Y[i], XH[i], ZH[i], U[i] = dev, y, xh, zh, u
+        OXH[i], OU[i], OX[i] = est.x_hat, est.u, devo
+        up, uop = (u, est.u) if pulse is None else (u + pulse[i], est.u + pulse[i])
+        x = x + dt * rate(x, up) + w[i]
+        xo = xo + dt * rate(xo, uop) + w[i]
+        if guard is not None:
+            guard(i, x, xo)
+    if not (np.isfinite(x).all() and np.isfinite(xo).all()):
+        raise NetworkDivergedError(
+            f"closed loop diverged: plant state not finite after {n} steps")
+    traj = Trajectory(time=time, x=X, y=Y, x_hat=XH, oracle_x_hat=OXH,
+                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OX,
+                      spikes=list(st.spike_log),
+                      silence_events=list(st.silence_log), meta=_meta(sc))
+    return traj, x - x_eq, xo - x_eq
 
 
 def run_control(sc: Scenario) -> Trajectory:
@@ -358,139 +467,20 @@ def run_control(sc: Scenario) -> Trajectory:
     if not isinstance(sc.plant, SmdParams):
         raise ValueError("run_control integrates the linear plant; "
                          "use run_cartpole for the cartpole")
-    system = _linear_system(sc)
-    kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
-    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
-    weights = build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
-    st = new_state(weights)
-    est = LqgState(np.zeros(system.state_dim))
-
-    n, dt = sc.n_steps, sc.dt
-    time = np.arange(n) * dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    pulse = sc.pulse.profile(time) if sc.pulse is not None else None
-    kills = list(sc.silencing or [])
-    ki = 0
-
-    dist, sens, volt = _noise_sources(sc, system)
-    w = np.sqrt(dt) * dist.sample_block(n)
-    e = sens.sample_block(n)
-    vrows = _voltage_rows(volt, n)
-    sdt = np.sqrt(dt)
-
-    A, B, C = system.A, system.B, system.C
-    dxv, dzv = dec_x.values, dec_z.values
-    K, P = system.state_dim, system.input_dim
-    X = np.empty((n, K))
-    Y = np.empty((n, system.obs_dim))
-    XH = np.empty((n, K))
-    ZH = np.empty((n, K))
-    U = np.empty((n, P))
-    OXH = np.empty((n, K))
-    OU = np.empty((n, P))
-    OX = np.empty((n, K))
-    x = sc.x0.copy()
-    xo = sc.x0.copy()
-    for i in range(n):
-        t = time[i]
-        while ki < len(kills) and t >= kills[ki][0] - 1e-9:
-            silence(st, kills[ki][1], t)
-            ki += 1
-        y = C @ x + e[i]
-        network_step(weights, st, dt, y=y, z=z[i], zdot=zdot[i],
-                     noise=sdt * next(vrows))
-        xh = dxv @ st.r
-        zh = dzv @ st.r
-        u = -(kc @ (xh - zh))
-        yo = C @ xo + e[i]
-        lqg_step(system, kf, kc, est, yo, z[i], dt)
-        X[i] = x
-        Y[i] = y
-        XH[i] = xh
-        ZH[i] = zh
-        U[i] = u
-        OXH[i] = est.x_hat
-        OU[i] = est.u
-        OX[i] = xo
-        up = u if pulse is None else u + pulse[i]
-        uop = est.u if pulse is None else est.u + pulse[i]
-        x = x + dt * (A @ x + B @ up) + w[i]
-        xo = xo + dt * (A @ xo + B @ uop) + w[i]
-    return Trajectory(time=time, x=X, y=Y, x_hat=XH, oracle_x_hat=OXH,
-                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OX,
-                      spikes=list(st.spike_log),
-                      silence_events=list(st.silence_log), meta=_meta(sc))
+    net = _network(sc)
+    return _closed_loop(sc, net, _noise_rows(sc, net[0]), _reference_rows(sc))[0]
 
 
 def run_cartpole(sc: Scenario) -> Trajectory:
     """Balance the nonlinear cartpole with the controller built on the
-    upright linearization; recorded in deviation coordinates (theta - pi)."""
+    upright linearization; raises PoleDroppedError when either pole falls
+    more than 90 degrees from upright."""
     if sc.name != "cartpole" or not isinstance(sc.plant, CartpoleParams):
         raise ValueError("run_cartpole needs a cartpole scenario")
     if sc.cost is None or sc.reference is None:
         raise ValueError("cartpole run needs a cost and a reference schedule")
-    system = _linear_system(sc)
-    kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
-    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
-    weights = build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
-    st = new_state(weights)
-    est = LqgState(np.zeros(system.state_dim))
-
-    n, dt = sc.n_steps, sc.dt
-    time = np.arange(n) * dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    dist, sens, volt = _noise_sources(sc, system)
-    w = np.sqrt(dt) * dist.sample_block(n)
-    e = sens.sample_block(n)
-    vrows = _voltage_rows(volt, n)
-    sdt = np.sqrt(dt)
-
-    C = system.C
-    dxv, dzv = dec_x.values, dec_z.values
-    x_eq = CARTPOLE_UP
-    p = sc.plant
-    X = np.empty((n, 4))
-    Y = np.empty((n, 1))
-    XH = np.empty((n, 4))
-    ZH = np.empty((n, 4))
-    U = np.empty((n, 1))
-    OXH = np.empty((n, 4))
-    OU = np.empty((n, 1))
-    OX = np.empty((n, 4))
-    x = sc.x0.copy()
-    xo = sc.x0.copy()
-    for i in range(n):
-        dev = x - x_eq
-        y = C @ dev + e[i]
-        network_step(weights, st, dt, y=y, z=z[i], zdot=zdot[i],
-                     noise=sdt * next(vrows))
-        xh = dxv @ st.r
-        zh = dzv @ st.r
-        u = -(kc @ (xh - zh))
-        devo = xo - x_eq
-        yo = C @ devo + e[i]
-        lqg_step(system, kf, kc, est, yo, z[i], dt)
-        X[i] = dev
-        Y[i] = y
-        XH[i] = xh
-        ZH[i] = zh
-        U[i] = u
-        OXH[i] = est.x_hat
-        OU[i] = est.u
-        OX[i] = devo
-        x = x + dt * cartpole_dynamics(p, x, u[0]) + w[i]
-        xo = xo + dt * cartpole_dynamics(p, xo, est.u[0]) + w[i]
-        if abs(x[2] - np.pi) > np.pi / 2:
-            raise PoleDroppedError(
-                f"pole dropped at t={(i + 1) * dt:.4f} s (step {i})")
-        if abs(xo[2] - np.pi) > np.pi / 2:
-            raise PoleDroppedError(
-                f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}, ideal loop)")
-    return Trajectory(time=time, x=X, y=Y, x_hat=XH, oracle_x_hat=OXH,
-                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OX,
-                      spikes=list(st.spike_log), meta=_meta(sc))
+    net = _network(sc)
+    return _closed_loop(sc, net, _noise_rows(sc, net[0]), _reference_rows(sc))[0]
 
 
 def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> SparsityResult:
@@ -512,8 +502,9 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     All cells share the same decoders and the same unit noise draws (scaled
     per cell), so differences across the grid reflect the swept parameters
     rather than sampling luck. The metric per cell is the time-mean absolute
-    position error |x1 - z1| (RMSE is recorded alongside). A diverging cell
-    is recorded as NaN and listed in failed_cells.
+    position error |x1 - z1| after each step (RMSE is recorded alongside). A
+    cell whose loop diverges or whose errors are not finite is recorded as
+    NaN and listed in failed_cells as (noise index, pulse index, message).
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
@@ -529,11 +520,11 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
 
     n, dt = sc.n_steps, sc.dt
-    time = np.arange(n) * dt
     z, zdot = sc.reference.sample_grid(n, dt)
-    K = system.state_dim
+    time = np.arange(n) * dt
     # Common random numbers: unit draws made once, scaled per cell.
-    w_unit = make_rng(sc.master_seed, StreamLabel.DISTURBANCE).standard_normal((n, K))
+    w_unit = make_rng(sc.master_seed, StreamLabel.DISTURBANCE).standard_normal(
+        (n, system.state_dim))
     e_unit = make_rng(sc.master_seed, StreamLabel.SENSOR).standard_normal(
         (n, system.obs_dim))
     eta = np.sqrt(dt) * sc.eta_v * make_rng(
@@ -546,55 +537,33 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     scn_rmse = np.full(shape, np.nan)
     oracle_rmse = np.full(shape, np.nan)
     failed = []
+    pulses = [replace(sc.pulse, magnitude=float(m)).profile(time) for m in pulse_grid]
     for a, sn in enumerate(noise_grid):
-        cell_system = LinearSystem(A=system.A, B=system.B, C=system.C,
-                                   sigma_d=system.sigma_d,
-                                   sigma_n=sn * np.eye(system.obs_dim))
-        kf = kalman_gain(system.A, system.C, system.sigma_d, cell_system.sigma_n)
-        weights = build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
-        e = np.sqrt(sn) * e_unit
-        for b, magnitude in enumerate(pulse_grid):
-            pulse = PulseSchedule(onset=sc.pulse.onset, duration=sc.pulse.duration,
-                                  magnitude=float(magnitude)).profile(time)
+        kf = kalman_gain(system.A, system.C, system.sigma_d,
+                         sn * np.eye(system.obs_dim))
+        net = (system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak))
+        noise = (w, np.sqrt(sn) * e_unit, eta)
+        for b, pulse in enumerate(pulses):
             try:
-                cell = _sweep_cell(cell_system, kf, kc, weights, dec_x, dec_z,
-                                   z, zdot, w, e, eta, pulse, sc.x0, dt, n)
+                traj, x_end, xo_end = _closed_loop(sc, net, noise, (z, zdot, pulse))
             except NetworkDivergedError as err:
                 failed.append((a, b, str(err)))
                 continue
-            scn_mae[a, b], oracle_mae[a, b], scn_rmse[a, b], oracle_rmse[a, b] = cell
+            err_s = np.abs(np.concatenate((traj.x[1:, 0], x_end[:1])) - z[:, 0])
+            err_o = np.abs(np.concatenate((traj.oracle_x[1:, 0], xo_end[:1])) - z[:, 0])
+            with np.errstate(over="ignore"):  # an overflow fails the cell below
+                metrics = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
+                           np.sqrt(np.mean(err_o ** 2)))
+            if not all(map(math.isfinite, metrics)):
+                failed.append((a, b, "position errors overflow: MAE/RMSE not finite"))
+                continue
+            scn_mae[a, b], oracle_mae[a, b], scn_rmse[a, b], oracle_rmse[a, b] = metrics
     meta = _meta(sc, noise_grid=[float(v) for v in noise_grid],
                  pulse_grid=[float(v) for v in pulse_grid])
     return SweepResult(noise_grid=noise_grid, pulse_grid=pulse_grid,
                        scn_mae=scn_mae, oracle_mae=oracle_mae,
                        scn_rmse=scn_rmse, oracle_rmse=oracle_rmse,
                        failed_cells=failed, meta=meta)
-
-
-def _sweep_cell(system, kf, kc, weights, dec_x, dec_z, z, zdot, w, e, eta,
-                pulse, x0, dt, n):
-    st = new_state(weights)
-    est = LqgState(np.zeros(system.state_dim))
-    A, B, C = system.A, system.B, system.C
-    dxv, dzv = dec_x.values, dec_z.values
-    err_s = np.empty(n)
-    err_o = np.empty(n)
-    x = x0.copy()
-    xo = x0.copy()
-    for i in range(n):
-        y = C @ x + e[i]
-        network_step(weights, st, dt, y=y, z=z[i], zdot=zdot[i], noise=eta[i])
-        u = -(kc @ (dxv @ st.r - dzv @ st.r))
-        yo = C @ xo + e[i]
-        lqg_step(system, kf, kc, est, yo, z[i], dt)
-        x = x + dt * (A @ x + B @ (u + pulse[i])) + w[i]
-        xo = xo + dt * (A @ xo + B @ (est.u + pulse[i])) + w[i]
-        err_s[i] = abs(x[0] - z[i, 0])
-        err_o[i] = abs(xo[0] - z[i, 0])
-    if not (np.isfinite(err_s).all() and np.isfinite(err_o).all()):
-        raise NetworkDivergedError("loop diverged within the cell")
-    return (float(err_s.mean()), float(err_o.mean()),
-            float(np.sqrt(np.mean(err_s ** 2))), float(np.sqrt(np.mean(err_o ** 2))))
 
 
 def summarize(traj: Trajectory) -> dict:

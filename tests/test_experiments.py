@@ -1,6 +1,7 @@
 """Scenario runners, file formats, config handling, and the CLI."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,10 @@ from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           LinearSystem, ReferenceSchedule, Scenario, SmdParams,
                           apply_config, build_estimator, build_network,
                           cartpole_scenario, decode, estimation_scenario,
-                          kalman_gain, load_config, load_weights, network_step,
-                          new_state, parse_config, robustness_scenario,
-                          run_control, run_estimation, run_robustness_sweep,
+                          experiments, kalman_gain, load_config, load_weights,
+                          network_step, new_state, parse_config,
+                          robustness_scenario, run_cartpole, run_control,
+                          run_estimation, run_robustness_sweep,
                           sample_decoder, smd_control_scenario, smd_system,
                           sparsity_scenario, stair_reference, summarize,
                           write_spikes, write_summary, write_sweep_matrix,
@@ -109,6 +111,10 @@ def test_scenario_validation():
         replace(base, dt=0.0)
     with pytest.raises(ValueError, match="at least one neuron"):
         replace(base, n_neurons=0)
+    with pytest.raises(ValueError, match="x0 has 1 entries"):
+        replace(base, x0=[1.0])
+    with pytest.raises(ValueError, match="silencing ids 0..44 are out of range"):
+        replace(smd_control_scenario(0, with_silencing=True), n_neurons=20)
 
 
 def test_scenario_sorts_silencing():
@@ -190,6 +196,36 @@ def test_control_at_equilibrium_is_exactly_quiet():
     np.testing.assert_array_equal(traj.u, np.zeros_like(traj.u))
     np.testing.assert_array_equal(traj.x, np.zeros_like(traj.x))
     np.testing.assert_array_equal(traj.oracle_x, np.zeros_like(traj.oracle_x))
+
+
+def test_closed_loop_call_contract(monkeypatch):
+    # One network step and one oracle step per Euler step of every run and
+    # sweep cell, and two plant evaluations per step on the cartpole. The
+    # benchmark's traced run counts calls through these same module names.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("network_step", "lqg_step", "cartpole_dynamics"):
+        monkeypatch.setattr(experiments, name,
+                            counting(name, getattr(experiments, name)))
+
+    sc = replace(smd_control_scenario(0), duration=0.1,
+                 silencing=[(0.05, (0, 1, 2))])
+    assert run_control(sc).silence_events == [(0.05, (0, 1, 2))]
+    assert calls == {"network_step": 100, "lqg_step": 100}
+    calls.clear()
+    run_cartpole(replace(cartpole_scenario(0), duration=0.01))
+    assert calls == {"network_step": 100, "lqg_step": 100,
+                     "cartpole_dynamics": 200}
+    calls.clear()
+    run_robustness_sweep(replace(robustness_scenario(0), duration=0.01),
+                         noise_grid=[1e-3], pulse_grid=[100.0, 300.0])
+    assert calls == {"network_step": 200, "lqg_step": 200}
 
 
 def test_control_requires_cost_and_reference():
@@ -441,6 +477,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli_main(["estimate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # Scenario checks and flag values fail before any output is written.
+    short_state = tmp_path / "state.cfg"
+    short_state.write_text("initial.state = 1\n")
+    for argv, message in (
+            (["control", "--neurons", "20", "--duration", "1"], "silencing ids"),
+            (["control", "--config", str(short_state)], "x0 has 1 entries"),
+            (["cartpole", "--config", str(short_state)], "x0 has 1 entries"),
+            (["control", "--neurons", "0"], "at least one neuron")):
+        out = tmp_path / "rejected"
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
@@ -454,17 +502,21 @@ def test_cli_runtime_failure_exits_1(tmp_path, capsys):
 
 def test_cli_sweep_outputs(tmp_path):
     cfg = tmp_path / "sweep.cfg"
+    # A 1e308 N pulse overflows the error sums: that column fails.
     cfg.write_text("sweep.noise_grid = 0.001, 0.01\n"
-                   "sweep.pulse_grid = 100, 200\n"
+                   "sweep.pulse_grid = 100, 200, 1e308\n"
+                   "pulse.onset = 0.3\n"
                    "integration.duration = 1\n")
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
         lines = (out / f"{name}.csv").read_text().splitlines()
-        assert len(lines) == 3 and len(lines[1].split(",")) == 3
+        assert len(lines) == 3 and len(lines[1].split(",")) == 4
+        assert [line.split(",")[3] for line in lines[1:]] == ["nan", "nan"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["noise_grid"] == [0.001, 0.01]
-    assert summary["failed_cells"] == []
+    assert [cell[:2] for cell in summary["failed_cells"]] == [[0, 2], [1, 2]]
+    assert all("not finite" in cell[2] for cell in summary["failed_cells"])
     assert (out / "weights.json").is_file()
 
 
