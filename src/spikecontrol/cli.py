@@ -92,8 +92,11 @@ def _write_run(out: Path, sc, traj):
     ex.write_trajectory(traj, out / "trajectory.csv", stride=stride)
     ex.write_spikes(traj, out / "spikes.csv")
     ex.write_summary(summary, out / "summary.json")
-    _, weights = ex.build_network(sc)
-    save_weights(weights, out / "weights.json")
+    _write_weights(out, sc)
+
+
+def _write_weights(out: Path, sc):
+    save_weights(ex.build_network(sc)[1], out / "weights.json")
 
 
 def run(argv=None) -> int:
@@ -148,11 +151,9 @@ def run(argv=None) -> int:
             "failed_cells": [list(cell) for cell in result.failed_cells],
             "artifact_choices": result.meta["artifact_choices"],
         }, out / "summary.json")
-        _, weights = ex.build_network(sc)
-        save_weights(weights, out / "weights.json")
+        _write_weights(out, sc)
     elif command == "export-weights":
-        _, weights = ex.build_network(sc)
-        save_weights(weights, out / "weights.json")
+        _write_weights(out, sc)
     else:
         raise ConfigError(f"unknown command {command!r}")
     return 0

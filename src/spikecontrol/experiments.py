@@ -120,8 +120,16 @@ class Scenario:
             raise ValueError("dt and duration must be positive")
         if self.n_neurons < 1:
             raise ValueError("need at least one neuron")
+        if self.dt * self.leak >= 1:
+            raise ValueError(f"dt*leak = {self.dt * self.leak:.4g} must be below 1, "
+                             "or the network's Euler step is unstable")
+        A = _plant_matrices(self.plant)[0]
+        rho = np.abs(np.linalg.eigvals(np.eye(len(A)) + self.dt * A)).max()
+        if rho >= 1 and np.linalg.eigvals(A).real.max() < 0:
+            raise ValueError(f"dt={self.dt:g} is Euler-unstable for the stable "
+                             f"plant: spectral radius of I + dt*A is {rho:.4g}")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        state_dim = _plant_matrices(self.plant)[0].shape[0]
+        state_dim = A.shape[0]
         if self.x0.size != state_dim:
             raise ValueError(f"x0 has {self.x0.size} entries, but the "
                              f"{type(self.plant).__name__} state has {state_dim}")
@@ -290,12 +298,9 @@ def _noise_rows(sc: Scenario, system: LinearSystem):
                        StreamLabel.DISTURBANCE)
     sens = NoiseSource(sc.sigma_n * np.eye(system.obs_dim), sc.master_seed,
                        StreamLabel.SENSOR)
-    volt = NoiseSource(sc.eta_v ** 2 * np.eye(sc.n_neurons), sc.master_seed,
-                       StreamLabel.VOLTAGE)
     n, sdt = sc.n_steps, np.sqrt(sc.dt)
-    w = sdt * dist.sample_block(n)
-    e = sens.sample_block(n)
-    return w, e, (sdt * row for row in _voltage_rows(volt, n))
+    return (sdt * dist.sample_block(n), sens.sample_block(n),
+            (sdt * row for row in _voltage_rows(sc, n)))
 
 
 def _reference_rows(sc: Scenario):
@@ -307,13 +312,15 @@ def _reference_rows(sc: Scenario):
     return z, zdot, pulse
 
 
-def _voltage_rows(source: NoiseSource, n: int, block: int = 16384):
-    """Yield n per-step noise rows, drawn in blocks to bound memory."""
+def _voltage_rows(sc: Scenario, n: int, block: int = 16384):
+    """Yield n per-step rows of unit draws times sqrt(eta_v**2), the factor of
+    the covariance eta_v**2 I, drawn in blocks to bound memory."""
+    rng = make_rng(sc.master_seed, StreamLabel.VOLTAGE)
+    scale = np.sqrt(sc.eta_v ** 2)
     done = 0
     while done < n:
         m = min(block, n - done)
-        for row in source.sample_block(m):
-            yield row
+        yield from rng.standard_normal((m, sc.n_neurons)) * scale
         done += m
 
 

@@ -11,6 +11,8 @@ import numpy as np
 
 from .state_space import LinearSystem
 
+_FLOAT = np.dtype(float)
+
 
 @dataclass
 class LqgState:
@@ -23,15 +25,21 @@ class LqgState:
             self.u = np.asarray(self.u, dtype=float).reshape(-1)
 
 
+def _array(a, ndim: int) -> np.ndarray:
+    """`a` as a float array of at least `ndim` dimensions; such arrays pass
+    through unconverted, which keeps the per-step path cheap."""
+    if isinstance(a, np.ndarray) and a.ndim >= ndim and a.dtype is _FLOAT:
+        return a
+    return np.array(a, dtype=float, ndmin=ndim)
+
+
 def estimator_step(model: LinearSystem, kalman_gain, st: LqgState,
                    y, u_ext, dt: float) -> LqgState:
     """One Euler step of x_hat' = A x_hat + B u + K_f (C x_hat - y)."""
-    Kf = np.atleast_2d(kalman_gain)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    u_ext = np.atleast_1d(np.asarray(u_ext, dtype=float))
+    u_ext = _array(u_ext, 1)
     xh = st.x_hat
-    innov = Kf @ (model.C @ xh - y)
-    st.x_hat = xh + dt * (model.A @ xh + model.B @ u_ext + innov)
+    innov = _array(kalman_gain, 2).dot(model.C.dot(xh) - _array(y, 1))
+    st.x_hat = xh + dt * (model.A.dot(xh) + model.B.dot(u_ext) + innov)
     st.u = u_ext
     return st
 
@@ -43,9 +51,9 @@ def lqg_step(model: LinearSystem, kalman_gain, lqr_gain, st: LqgState,
     u = -K_c (x_hat - z) is computed before the filter update so the plant and
     the estimator consume the same control this step.
     """
-    Kc = np.atleast_2d(lqr_gain)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    u = -Kc @ (st.x_hat - z)
+    # (-K_c) times the error, not -(K_c times it): at a zero error the two
+    # differ in the sign of the zero.
+    u = (-_array(lqr_gain, 2)).dot(st.x_hat - _array(z, 1))
     return estimator_step(model, kalman_gain, st, y, u, dt)
 
 

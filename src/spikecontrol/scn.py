@@ -4,10 +4,16 @@ Each neuron's voltage tracks a projection of the coding error; a spike is fired
 only when it shrinks that error (greedy rule), which yields the usual fast
 inhibition -D'D, thresholds |D_i|^2/2, and slow recurrence embedding the plant
 dynamics and the Kalman/control feedback through the filtered spike trains.
+
+Every recurrent matrix has the form D' M D, with D the stacked decoders and M
+a small operator on the decoded state, so the network is held and stepped in
+that factored form: O(N K) memory and work per step for N neurons and K state
+dimensions, never an N x N matrix.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,130 +66,114 @@ def sample_decoder(dim: int, n_neurons: int, column_norm: float,
     return DecoderMatrix(values=values, column_norm=float(column_norm))
 
 
+# The inputs each mode's step reads, in the column order of its input operator.
+MODE_INPUTS = {"autoencoder": ("signal", "signal_dot"), "autonomous": (),
+               "estimator": ("y", "u"), "controller": ("y", "z", "zdot")}
+
+
 @dataclass
 class ScnWeights:
-    """Analytic network weights; matrices not used by `mode` are None.
+    """Analytic network weights in the factored form the theory gives them.
 
-    Modes: 'autoencoder' (external signal + derivative), 'autonomous'
-    (embedded dynamics, no input), 'estimator' (observation + known input),
-    'controller' (observation + target, control readout).
+    With D the stacked decoder ([Dx; Dz] for controllers, Dx otherwise), the
+    slow drive is D'(recurrent @ D r + input_op @ inputs), the inputs stacked
+    in the order of MODE_INPUTS[mode], and a spike of neuron j adds the fast
+    reset -D' D[:, j] to the voltages. Modes: 'autoencoder', 'autonomous',
+    'estimator' and 'controller' (observation + target, control readout).
     """
 
     mode: str
     decoder_x: DecoderMatrix
     thresholds: np.ndarray
     leak: float
-    decoder_z: DecoderMatrix = None
-    fast_x: np.ndarray = None          # -Dx' Dx, applied on every spike
-    fast_z: np.ndarray = None          # -Dz' Dz, controller only
-    slow_dynamics: np.ndarray = None   # Dx' (A + leak I) Dx
-    slow_kalman: np.ndarray = None     # Dx' K_f C Dx
-    slow_control: np.ndarray = None    # -Dx' B K_c Dx
-    slow_target: np.ndarray = None     # Dx' B K_c Dz
-    obs_in: np.ndarray = None          # -Dx' K_f
-    drive_in: np.ndarray = None        # Dx' B, estimator only
-    target_in: np.ndarray = None       # Dz', controller only
-    readout_u: np.ndarray = None       # -K_c (Dx - Dz), controller only
-    control_gain: np.ndarray = None    # K_c, kept so u = -K_c(x_hat - z_hat) exactly
-    _w_slow: np.ndarray = field(default=None, init=False, repr=False)
-    _fast_total: np.ndarray = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        slow_parts = [m for m in (self.slow_dynamics, self.slow_kalman,
-                                  self.slow_control, self.slow_target) if m is not None]
-        if slow_parts:
-            self._w_slow = np.ascontiguousarray(sum(slow_parts))
-        if self.fast_x is not None:
-            total = self.fast_x if self.fast_z is None else self.fast_x + self.fast_z
-            self._fast_total = np.ascontiguousarray(total)
+    recurrent: np.ndarray              # M, acts on the decode D r
+    input_op: np.ndarray               # In, acts on the stacked inputs
+    decoder_z: DecoderMatrix = None    # controller only
+    control_gain: np.ndarray = None    # K_c, so u = -K_c(x_hat - z_hat) exactly
 
     @property
     def n_neurons(self):
         return self.decoder_x.n_neurons
 
+    @cached_property
+    def decoders(self) -> np.ndarray:
+        """The stacked decoder D."""
+        if self.decoder_z is None:
+            return self.decoder_x.values
+        return np.vstack((self.decoder_x.values, self.decoder_z.values))
+
+
+def _thresholds(*decoders):
+    return 0.5 * sum(np.sum(D * D, axis=0) for D in decoders)
+
 
 def build_autoencoder(decoder: DecoderMatrix, leak: float) -> ScnWeights:
-    """Network that re-encodes an external signal fed as (signal, signal_dot)."""
-    D = decoder.values
-    return ScnWeights(
-        mode="autoencoder",
-        decoder_x=decoder,
-        fast_x=-D.T @ D,
-        thresholds=0.5 * np.sum(D * D, axis=0),
-        leak=float(leak),
-    )
+    """Network that re-encodes an external signal fed as (signal, signal_dot):
+    drive D'(signal_dot + leak signal)."""
+    K = decoder.dim
+    return ScnWeights(mode="autoencoder", decoder_x=decoder, leak=float(leak),
+                      thresholds=_thresholds(decoder.values),
+                      recurrent=np.zeros((K, K)),
+                      input_op=np.hstack((leak * np.eye(K), np.eye(K))))
 
 
 def build_dynamics_network(A, decoder: DecoderMatrix, leak: float) -> ScnWeights:
-    """Autonomous network whose decode follows dx/dt = A x."""
+    """Autonomous network whose decode follows dx/dt = A x: slow weights
+    D'(A + leak I)D."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    D = decoder.values
     if A.shape[0] != decoder.dim:
         raise ValueError("dynamics dimension does not match decoder")
-    return ScnWeights(
-        mode="autonomous",
-        decoder_x=decoder,
-        fast_x=-D.T @ D,
-        slow_dynamics=D.T @ (A + leak * np.eye(A.shape[0])) @ D,
-        thresholds=0.5 * np.sum(D * D, axis=0),
-        leak=float(leak),
-    )
+    return ScnWeights(mode="autonomous", decoder_x=decoder, leak=float(leak),
+                      thresholds=_thresholds(decoder.values),
+                      recurrent=A + leak * np.eye(A.shape[0]),
+                      input_op=np.zeros((A.shape[0], 0)))
 
 
 def build_estimator(system: LinearSystem, kalman_gain, decoder: DecoderMatrix,
                     leak: float) -> ScnWeights:
-    """Spiking Kalman filter: decode of r tracks the optimal estimate of x."""
+    """Spiking Kalman filter: decode of r tracks the optimal estimate of x.
+
+    Slow weights D'(A + leak I + K_f C)D; inputs enter as D'(-K_f y + B u).
+    """
     Kf = np.atleast_2d(np.asarray(kalman_gain, dtype=float))
-    D = decoder.values
     if decoder.dim != system.state_dim:
         raise ValueError("decoder dimension does not match system state")
     if Kf.shape != (system.state_dim, system.obs_dim):
         raise ValueError("Kalman gain shape does not match system")
     eye = np.eye(system.state_dim)
-    return ScnWeights(
-        mode="estimator",
-        decoder_x=decoder,
-        fast_x=-D.T @ D,
-        slow_dynamics=D.T @ (system.A + leak * eye) @ D,
-        slow_kalman=D.T @ Kf @ system.C @ D,
-        obs_in=-D.T @ Kf,
-        drive_in=D.T @ system.B,
-        thresholds=0.5 * np.sum(D * D, axis=0),
-        leak=float(leak),
-    )
+    return ScnWeights(mode="estimator", decoder_x=decoder, leak=float(leak),
+                      thresholds=_thresholds(decoder.values),
+                      recurrent=system.A + leak * eye + Kf @ system.C,
+                      input_op=np.hstack((-Kf, system.B)))
 
 
 def build_controller(system: LinearSystem, kalman_gain, lqr_gain,
                      decoder_x: DecoderMatrix, decoder_z: DecoderMatrix,
                      leak: float) -> ScnWeights:
     """Spiking LQG controller: the network filters y, encodes the target z,
-    and reads out u = readout_u @ r = -K_c (x_hat - z_hat)."""
+    and reads out u = -K_c (x_hat - z_hat).
+
+    Slow weights Dx'(A + leak I)Dx + Dx' K_f C Dx - Dx' B K_c Dx + Dx' B K_c Dz;
+    inputs enter as -Dx' K_f y + Dz'(zdot + leak z); fast weights
+    -Dx'Dx - Dz'Dz.
+    """
     Kf = np.atleast_2d(np.asarray(kalman_gain, dtype=float))
     Kc = np.atleast_2d(np.asarray(lqr_gain, dtype=float))
-    Dx, Dz = decoder_x.values, decoder_z.values
     if decoder_x.dim != system.state_dim or decoder_z.dim != system.state_dim:
         raise ValueError("decoder dimensions must match system state")
     if decoder_x.n_neurons != decoder_z.n_neurons:
         raise ValueError("state and target decoders must share the population")
-    eye = np.eye(system.state_dim)
+    K, p = system.state_dim, system.obs_dim
+    eye = np.eye(K)
     BKc = system.B @ Kc
     return ScnWeights(
-        mode="controller",
-        decoder_x=decoder_x,
-        decoder_z=decoder_z,
-        fast_x=-Dx.T @ Dx,
-        fast_z=-Dz.T @ Dz,
-        slow_dynamics=Dx.T @ (system.A + leak * eye) @ Dx,
-        slow_kalman=Dx.T @ Kf @ system.C @ Dx,
-        slow_control=-Dx.T @ BKc @ Dx,
-        slow_target=Dx.T @ BKc @ Dz,
-        obs_in=-Dx.T @ Kf,
-        target_in=Dz.T.copy(),
-        readout_u=-Kc @ (Dx - Dz),
-        control_gain=Kc,
-        thresholds=0.5 * (np.sum(Dx * Dx, axis=0) + np.sum(Dz * Dz, axis=0)),
-        leak=float(leak),
-    )
+        mode="controller", decoder_x=decoder_x, decoder_z=decoder_z,
+        leak=float(leak), control_gain=Kc,
+        thresholds=_thresholds(decoder_x.values, decoder_z.values),
+        recurrent=np.block([[system.A + leak * eye + Kf @ system.C - BKc, BKc],
+                            [np.zeros((K, 2 * K))]]),
+        input_op=np.block([[-Kf, np.zeros((K, 2 * K))],
+                           [np.zeros((K, p)), leak * eye, eye]]))
 
 
 @dataclass
@@ -228,28 +218,20 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
 
     Returns (state, spiked neuron index or None); `state` is mutated in place.
     """
-    mode = weights.mode
-    v = state.v
-    r = state.r
-    if mode == "controller":
-        if y is None or z is None or zdot is None:
-            raise ValueError("controller step needs y, z and zdot")
-        drive = weights._w_slow @ r + weights.obs_in @ y \
-            + weights.target_in @ (zdot + weights.leak * z)
-    elif mode == "estimator":
-        if y is None or u is None:
-            raise ValueError("estimator step needs y and u")
-        drive = weights._w_slow @ r + weights.obs_in @ y + weights.drive_in @ u
-    elif mode == "autoencoder":
-        if signal is None or signal_dot is None:
-            raise ValueError("autoencoder step needs signal and signal_dot")
-        drive = weights.decoder_x.values.T @ (signal_dot + weights.leak * signal)
-    elif mode == "autonomous":
-        drive = weights._w_slow @ r
-    else:
-        raise ValueError(f"unknown network mode {mode!r}")
-
-    v += dt * (drive - weights.leak * v)
+    names = MODE_INPUTS.get(weights.mode)
+    if names is None:
+        raise ValueError(f"unknown network mode {weights.mode!r}")
+    given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
+    inputs = [given[name] for name in names]
+    if any(value is None for value in inputs):
+        raise ValueError(f"{weights.mode} step needs "
+                         f"{', '.join(names[:-1])} and {names[-1]}")
+    D, v, r = weights.decoders, state.v, state.r
+    # ndarray.dot: for these small operands it costs half of `@`.
+    q = weights.recurrent.dot(D.dot(r))
+    if inputs:
+        q += weights.input_op.dot(np.concatenate(inputs))
+    v += dt * (q.dot(D) - weights.leak * v)
     if noise is not None:
         v += noise
     if not np.all(np.isfinite(v)):
@@ -264,7 +246,7 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
     winner = int(np.argmax(excess))
     spike = None
     if excess[winner] > 0.0:
-        v += weights._fast_total[:, winner]
+        v -= D[:, winner].dot(D)
         r[winner] += 1.0
         state.spike_log.append((state.t, winner))
         spike = winner
@@ -283,9 +265,8 @@ class Readout:
 def decode(weights: ScnWeights, state: ScnState) -> Readout:
     """Decode the state estimate (and, for controllers, target and control).
 
-    The control readout is evaluated as -K_c (x_hat - z_hat), the factored
-    form of readout_u @ r; the two agree to float precision, but the factored
-    form keeps u consistent with the recorded decodes bit-for-bit.
+    The control readout is evaluated as -K_c (x_hat - z_hat), which keeps u
+    consistent with the recorded decodes bit-for-bit.
     """
     x_hat = weights.decoder_x.values @ state.r
     if weights.mode != "controller":
@@ -298,27 +279,26 @@ def decode(weights: ScnWeights, state: ScnState) -> Readout:
     )
 
 
-_MATRIX_FIELDS = (
-    "fast_x", "fast_z", "slow_dynamics", "slow_kalman", "slow_control",
-    "slow_target", "obs_in", "drive_in", "target_in", "readout_u",
-    "control_gain",
-)
+WEIGHTS_VERSION = 2
+_OPERATORS = ("recurrent", "input_op", "control_gain")
 
 
 def save_weights(weights: ScnWeights, path):
-    """Write the network to a self-describing JSON file (exact roundtrip)."""
+    """Write the factored network to a self-describing JSON file (exact
+    roundtrip); its size grows as N K."""
     doc = {
         "format": "scn-weights",
-        "version": 1,
+        "version": WEIGHTS_VERSION,
         "mode": weights.mode,
+        "inputs": list(MODE_INPUTS.get(weights.mode, ())),
         "leak": weights.leak,
         "n_neurons": weights.n_neurons,
         "state_dim": weights.decoder_x.dim,
         "thresholds": list(weights.thresholds),
         "decoder_x": _encode_decoder(weights.decoder_x),
         "decoder_z": _encode_decoder(weights.decoder_z),
-        "matrices": {
-            name: _encode_matrix(getattr(weights, name)) for name in _MATRIX_FIELDS
+        "operators": {
+            name: _encode_matrix(getattr(weights, name)) for name in _OPERATORS
         },
     }
     with open(path, "w") as fh:
@@ -329,9 +309,12 @@ def save_weights(weights: ScnWeights, path):
 def load_weights(path) -> ScnWeights:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "scn-weights" or doc.get("version") != 1:
-        raise ValueError(f"{path} is not a version-1 scn-weights file")
-    kwargs = {name: _decode_matrix(doc["matrices"][name]) for name in _MATRIX_FIELDS}
+    found = (doc.get("format"), doc.get("version"))
+    if found != ("scn-weights", WEIGHTS_VERSION):
+        raise ValueError(
+            f"{path} is not a version-{WEIGHTS_VERSION} scn-weights file "
+            f"(format {found[0]!r}, version {found[1]!r})")
+    kwargs = {name: _decode_matrix(doc["operators"][name]) for name in _OPERATORS}
     return ScnWeights(
         mode=doc["mode"],
         decoder_x=_decode_decoder(doc["decoder_x"]),

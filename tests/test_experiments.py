@@ -115,6 +115,13 @@ def test_scenario_validation():
         replace(base, x0=[1.0])
     with pytest.raises(ValueError, match="silencing ids 0..44 are out of range"):
         replace(smd_control_scenario(0, with_silencing=True), n_neurons=20)
+    # Forward Euler must be stable for the network and for a stable plant.
+    with pytest.raises(ValueError, match=r"dt\*leak = 1 must be below 1"):
+        replace(base, leak=1000.0)
+    with pytest.raises(ValueError, match=r"spectral radius of I \+ dt\*A is 1.155"):
+        replace(base, dt=0.5)
+    # The cartpole linearization is unstable: the plant check does not apply.
+    replace(cartpole_scenario(0), dt=0.01)
 
 
 def test_scenario_sorts_silencing():
@@ -484,7 +491,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             (["control", "--neurons", "20", "--duration", "1"], "silencing ids"),
             (["control", "--config", str(short_state)], "x0 has 1 entries"),
             (["cartpole", "--config", str(short_state)], "x0 has 1 entries"),
-            (["control", "--neurons", "0"], "at least one neuron")):
+            (["control", "--neurons", "0"], "at least one neuron"),
+            (["estimate", "--dt", "0.5"], "Euler-unstable")):
         out = tmp_path / "rejected"
         assert cli_main(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -546,7 +554,17 @@ def test_cli_export_weights_roundtrip(tmp_path):
     assert loaded.mode == "estimator"
     np.testing.assert_array_equal(loaded.decoder_x.values,
                                   built.decoder_x.values)
-    np.testing.assert_array_equal(loaded.slow_kalman, built.slow_kalman)
+    # The dense slow weights D'MD, expanded from each side's factors.
+    D, Dl = built.decoders, loaded.decoders
+    np.testing.assert_array_equal(Dl.T @ loaded.recurrent @ Dl,
+                                  D.T @ built.recurrent @ D)
+
+
+def test_cli_export_weights_grows_as_n_times_k(tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["export-weights", "--neurons", "2000", "--out", str(out)]) == 0
+    assert (out / "weights.json").stat().st_size < 1_000_000
+    assert load_weights(out / "weights.json").n_neurons == 2000
 
 
 def test_cli_export_weights_rejects_unknown_scenario(tmp_path, capsys):

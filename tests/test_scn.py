@@ -69,19 +69,31 @@ def test_sample_decoder_needs_seed_or_rng():
 
 
 # ---------------------------------------------------------------------------
-# builders: closed forms checked entry by entry
+# builders: closed forms checked entry by entry, on the dense matrices the
+# factored weights stand for
+
+
+def _expand(w):
+    """(slow, fast, input) dense weights of a factored network: D'MD, -D'D
+    and D' In, expanded from the stacked decoder D and the operators."""
+    D = w.decoders
+    return D.T @ w.recurrent @ D, -D.T @ D, D.T @ w.input_op
 
 
 def test_autoencoder_weights_closed_form():
     dec = sample_decoder(2, 9, 0.1, seed=5)
     w = build_autoencoder(dec, leak=2.0)
     D = dec.values
+    slow, fast, inp = _expand(w)
     # fast weights: -D'D, symmetric, diagonal -gamma^2
-    np.testing.assert_allclose(w.fast_x, w.fast_x.T, atol=1e-15)
-    np.testing.assert_allclose(np.diag(w.fast_x), -0.01, atol=1e-15)
+    np.testing.assert_allclose(fast, fast.T, atol=1e-15)
+    np.testing.assert_allclose(np.diag(fast), -0.01, atol=1e-15)
     for i in range(9):
         for j in range(9):
-            assert abs(w.fast_x[i, j] - (-D[:, i] @ D[:, j])) < 1e-15
+            assert abs(fast[i, j] - (-D[:, i] @ D[:, j])) < 1e-15
+    np.testing.assert_array_equal(slow, np.zeros((9, 9)))
+    # inputs: D'(signal_dot + leak * signal)
+    np.testing.assert_allclose(inp, np.hstack((2.0 * D.T, D.T)), atol=1e-15)
     np.testing.assert_allclose(w.thresholds, 0.005, atol=1e-15)
     assert w.mode == "autoencoder" and w.leak == 2.0
 
@@ -90,9 +102,11 @@ def test_single_neuron_dynamics_network():
     d, a, lam = 0.3, -0.7, 0.4
     dec = DecoderMatrix(values=np.array([[d]]), column_norm=d)
     w = build_dynamics_network([[a]], dec, leak=lam)
-    assert abs(w.slow_dynamics[0, 0] - d * d * (a + lam)) < 1e-15
-    assert abs(w.fast_x[0, 0] - (-d * d)) < 1e-15
+    slow, fast, inp = _expand(w)
+    assert abs(slow[0, 0] - d * d * (a + lam)) < 1e-15
+    assert abs(fast[0, 0] - (-d * d)) < 1e-15
     assert abs(w.thresholds[0] - 0.5 * d * d) < 1e-15
+    assert inp.shape == (1, 0)
 
 
 def test_dynamics_network_pure_leak_has_no_slow_weights():
@@ -100,7 +114,8 @@ def test_dynamics_network_pure_leak_has_no_slow_weights():
     lam = 0.8
     dec = sample_decoder(2, 6, 0.1, seed=2)
     w = build_dynamics_network(-lam * np.eye(2), dec, leak=lam)
-    np.testing.assert_array_equal(w.slow_dynamics, np.zeros((6, 6)))
+    np.testing.assert_array_equal(w.recurrent, np.zeros((2, 2)))
+    np.testing.assert_array_equal(_expand(w)[0], np.zeros((6, 6)))
 
 
 def test_dynamics_network_dimension_mismatch():
@@ -115,22 +130,25 @@ def test_estimator_weights_entrywise():
     n = dec.n_neurons
     ApL = sys.A + lam * np.eye(2)
     KfC = kf @ sys.C
+    slow, _, inp = _expand(w)
     for i in range(n):
         for j in range(n):
-            assert abs(w.slow_dynamics[i, j] - D[:, i] @ ApL @ D[:, j]) < 1e-14
-            assert abs(w.slow_kalman[i, j] - D[:, i] @ KfC @ D[:, j]) < 1e-14
-    np.testing.assert_allclose(w.obs_in, -D.T @ kf, atol=1e-15)
-    np.testing.assert_allclose(w.drive_in, D.T @ sys.B, atol=1e-15)
+            expected = D[:, i] @ ApL @ D[:, j] + D[:, i] @ KfC @ D[:, j]
+            assert abs(slow[i, j] - expected) < 1e-14
+    # inputs in the order (y, u): obs_in = -D' K_f, drive_in = D' B
+    np.testing.assert_allclose(inp[:, :1], -D.T @ kf, atol=1e-15)
+    np.testing.assert_allclose(inp[:, 1:], D.T @ sys.B, atol=1e-15)
 
 
 def test_estimator_zero_gain_reduces_to_dynamics_network():
     sys = _smd_linear_system()
     dec = sample_decoder(2, 8, 0.1, seed=6)
     w = build_estimator(sys, np.zeros((2, 1)), dec, leak=0.1)
-    np.testing.assert_array_equal(w.slow_kalman, np.zeros((8, 8)))
-    np.testing.assert_array_equal(w.obs_in, np.zeros((8, 1)))
+    slow, _, inp = _expand(w)
+    np.testing.assert_array_equal(inp[:, :1], np.zeros((8, 1)))
     auto = build_dynamics_network(sys.A, dec, leak=0.1)
-    np.testing.assert_array_equal(w.slow_dynamics, auto.slow_dynamics)
+    np.testing.assert_array_equal(w.recurrent, auto.recurrent)
+    np.testing.assert_array_equal(slow, _expand(auto)[0])
 
 
 def test_estimator_shape_checks():
@@ -143,6 +161,11 @@ def test_estimator_shape_checks():
                         leak=0.1)
 
 
+def _readout(w):
+    """Dense control readout -K_c (Dx - Dz), u = readout @ r."""
+    return -w.control_gain @ (w.decoder_x.values - w.decoder_z.values)
+
+
 def test_controller_weights_entrywise():
     sys = _smd_linear_system()
     rng = np.random.default_rng(8)
@@ -153,14 +176,23 @@ def test_controller_weights_entrywise():
     w = build_controller(sys, kf, kc, dx, dz, leak=0.1)
     Dx, Dz = dx.values, dz.values
     BKc = sys.B @ kc
+    ApL = sys.A + 0.1 * np.eye(2)
+    KfC = kf @ sys.C
+    np.testing.assert_array_equal(w.decoders, np.vstack((Dx, Dz)))
+    slow, fast, inp = _expand(w)
     for i in range(6):
         for j in range(6):
-            assert abs(w.slow_control[i, j] - (-Dx[:, i] @ BKc @ Dx[:, j])) < 1e-14
-            assert abs(w.slow_target[i, j] - Dx[:, i] @ BKc @ Dz[:, j]) < 1e-14
-            assert abs(w.fast_z[i, j] - (-Dz[:, i] @ Dz[:, j])) < 1e-14
+            expected = (Dx[:, i] @ ApL @ Dx[:, j] + Dx[:, i] @ KfC @ Dx[:, j]
+                        - Dx[:, i] @ BKc @ Dx[:, j] + Dx[:, i] @ BKc @ Dz[:, j])
+            assert abs(slow[i, j] - expected) < 1e-14
+            expected = -Dx[:, i] @ Dx[:, j] - Dz[:, i] @ Dz[:, j]
+            assert abs(fast[i, j] - expected) < 1e-14
     np.testing.assert_allclose(w.thresholds, 0.5 * (0.1**2 + 0.2**2), atol=1e-15)
-    np.testing.assert_allclose(w.target_in, Dz.T, atol=1e-15)
-    np.testing.assert_allclose(w.readout_u, -kc @ (Dx - Dz), atol=1e-15)
+    # inputs in the order (y, z, zdot): -Dx' K_f y + Dz'(zdot + leak z)
+    np.testing.assert_allclose(inp[:, :1], -Dx.T @ kf, atol=1e-15)
+    np.testing.assert_allclose(inp[:, 1:3], 0.1 * Dz.T, atol=1e-15)
+    np.testing.assert_allclose(inp[:, 3:], Dz.T, atol=1e-15)
+    np.testing.assert_allclose(_readout(w), -kc @ (Dx - Dz), atol=1e-15)
     np.testing.assert_array_equal(w.control_gain, np.atleast_2d(kc))
 
 
@@ -171,19 +203,26 @@ def test_controller_readout_identity_on_random_rates():
     w = build_controller(sys, rng.standard_normal((2, 1)), kc,
                          sample_decoder(2, 30, 0.1, seed=1),
                          sample_decoder(2, 30, 0.1, seed=2), leak=0.1)
+    st = new_state(w)
     for _ in range(20):
-        r = rng.standard_normal(30) * 10
-        direct = w.readout_u @ r
-        factored = -(w.control_gain @ (w.decoder_x.values @ r - w.decoder_z.values @ r))
-        np.testing.assert_allclose(direct, factored, atol=1e-12)
+        st.r[:] = rng.standard_normal(30) * 10
+        direct = _readout(w) @ st.r
+        np.testing.assert_allclose(direct, decode(w, st).u, atol=1e-12)
 
 
 def test_controller_identical_decoders_read_out_zero():
     sys = _smd_linear_system()
     dx = sample_decoder(2, 6, 0.1, seed=7)
     w = build_controller(sys, np.zeros((2, 1)), np.ones((1, 2)), dx, dx, leak=0.1)
-    np.testing.assert_array_equal(w.readout_u, np.zeros((1, 6)))
-    np.testing.assert_array_equal(w.slow_target, -w.slow_control)
+    np.testing.assert_array_equal(_readout(w), np.zeros((1, 6)))
+    # The control feedback -BK_c x_hat and the target term BK_c z_hat cancel.
+    BKc = sys.B @ np.ones((1, 2))
+    np.testing.assert_array_equal(w.recurrent[:2, 2:], BKc)
+    np.testing.assert_array_equal(w.recurrent[:2, :2],
+                                  sys.A + 0.1 * np.eye(2) - BKc)
+    D = dx.values
+    np.testing.assert_allclose(_expand(w)[0], D.T @ (sys.A + 0.1 * np.eye(2)) @ D,
+                               atol=1e-15)
 
 
 def test_controller_zero_lqr_gain():
@@ -191,9 +230,12 @@ def test_controller_zero_lqr_gain():
     dx = sample_decoder(2, 6, 0.1, seed=7)
     dz = sample_decoder(2, 6, 0.1, seed=9)
     w = build_controller(sys, np.zeros((2, 1)), np.zeros((1, 2)), dx, dz, leak=0.1)
-    np.testing.assert_array_equal(w.slow_control, np.zeros((6, 6)))
-    np.testing.assert_array_equal(w.slow_target, np.zeros((6, 6)))
-    np.testing.assert_array_equal(w.readout_u, np.zeros((1, 6)))
+    Dx, Dz = dx.values, dz.values
+    M = w.recurrent
+    np.testing.assert_array_equal(Dx.T @ M[:2, 2:] @ Dz, np.zeros((6, 6)))
+    np.testing.assert_array_equal(M[:2, :2], sys.A + 0.1 * np.eye(2))
+    np.testing.assert_array_equal(M[2:], np.zeros((2, 4)))
+    np.testing.assert_array_equal(_readout(w), np.zeros((1, 6)))
 
 
 def test_controller_population_mismatch():
@@ -272,7 +314,7 @@ def test_single_spike_updates():
     assert st.r[2] == 1.0 and st.r.sum() == 1.0
     assert st.spike_log == [(0.0, 2)]
     # fast reset: the winner's voltage drops by gamma^2 (diagonal of -D'D)
-    expected_v2 = enc.thresholds[2] + 0.001 + enc.fast_x[2, 2]
+    expected_v2 = enc.thresholds[2] + 0.001 + _expand(enc)[1][2, 2]
     assert abs(st.v[2] - expected_v2) < 1e-15
 
 
@@ -309,7 +351,7 @@ def test_silenced_neuron_never_spikes_but_keeps_integrating():
     assert spike == 1  # the runner-up wins instead
     assert all(j != 0 for _, j in st.spike_log)
     # the silenced voltage still obeys the leak dynamics (plus fast kick)
-    expected = 10.0 * (1 - lam * 1e-3) + enc.fast_x[0, 1]
+    expected = 10.0 * (1 - lam * 1e-3) + _expand(enc)[1][0, 1]
     assert abs(st.v[0] - expected) < 1e-12
 
 
@@ -425,12 +467,13 @@ def test_weight_roundtrip_controller(tmp_path):
     np.testing.assert_array_equal(loaded.decoder_x.values, w.decoder_x.values)
     np.testing.assert_array_equal(loaded.decoder_z.values, w.decoder_z.values)
     assert loaded.decoder_z.column_norm == 0.3
-    for name in ("fast_x", "fast_z", "slow_dynamics", "slow_kalman",
-                 "slow_control", "slow_target", "obs_in", "target_in",
-                 "readout_u", "control_gain"):
+    for name in ("recurrent", "input_op", "control_gain"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(w, name),
                                       err_msg=name)
-    assert loaded.drive_in is None
+    for name, got, want in zip(("slow", "fast", "input"), _expand(loaded),
+                               _expand(w)):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    np.testing.assert_array_equal(_readout(loaded), _readout(w))
 
 
 def test_weight_roundtrip_estimator(tmp_path):
@@ -439,13 +482,60 @@ def test_weight_roundtrip_estimator(tmp_path):
     save_weights(w, path)
     loaded = load_weights(path)
     assert loaded.mode == "estimator"
-    assert loaded.decoder_z is None and loaded.readout_u is None
-    np.testing.assert_array_equal(loaded.slow_kalman, w.slow_kalman)
-    np.testing.assert_array_equal(loaded.drive_in, w.drive_in)
+    assert loaded.decoder_z is None and loaded.control_gain is None
+    np.testing.assert_array_equal(loaded.recurrent, w.recurrent)
+    np.testing.assert_array_equal(loaded.input_op, w.input_op)
+
+
+def _inputs(mode, rng):
+    """One step's random inputs for a network of the given mode (state
+    dimension 2, one observation, one control input)."""
+    shapes = {"y": 1, "u": 1, "z": 2, "zdot": 2, "signal": 2, "signal_dot": 2}
+    names = {"autoencoder": ("signal", "signal_dot"), "autonomous": (),
+             "estimator": ("y", "u"), "controller": ("y", "z", "zdot")}[mode]
+    return {name: rng.standard_normal(shapes[name]) for name in names}
+
+
+def test_weight_roundtrip_all_modes_replays(tmp_path):
+    sys = _smd_linear_system()
+    rng = np.random.default_rng(5)
+    dx = sample_decoder(2, 15, 0.1, seed=1)
+    dz = sample_decoder(2, 15, 0.1, seed=2)
+    built = (build_autoencoder(dx, leak=0.5),
+             build_dynamics_network(sys.A, dx, leak=0.5),
+             build_estimator(sys, rng.standard_normal((2, 1)), dx, leak=0.5),
+             build_controller(sys, rng.standard_normal((2, 1)),
+                              rng.standard_normal((1, 2)), dx, dz, leak=0.5))
+    for w in built:
+        path = tmp_path / f"{w.mode}.json"
+        save_weights(w, path)
+        loaded = load_weights(path)
+        assert loaded.mode == w.mode
+        for name in ("recurrent", "input_op", "thresholds"):
+            assert np.array_equal(getattr(loaded, name), getattr(w, name)), name
+        assert np.array_equal(loaded.decoders, w.decoders)
+        runs = []
+        for net in (w, loaded):
+            st = new_state(net)
+            st.r[:] = 3.0  # the autonomous network needs a nonzero start
+            step_rng = np.random.default_rng(9)
+            for _ in range(300):
+                network_step(net, st, 1e-2, noise=1e-3 * step_rng.standard_normal(15),
+                             **_inputs(w.mode, step_rng))
+            runs.append(st)
+        assert runs[0].spike_log and runs[0].spike_log == runs[1].spike_log, w.mode
+        np.testing.assert_array_equal(runs[0].v, runs[1].v)
 
 
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "not_weights.json"
-    path.write_text('{"format": "something-else", "version": 1}\n')
-    with pytest.raises(ValueError, match="not a version-1"):
+    path.write_text('{"format": "something-else", "version": 2}\n')
+    with pytest.raises(ValueError, match="not a version-2"):
+        load_weights(path)
+
+
+def test_load_rejects_version_1(tmp_path):
+    path = tmp_path / "old_weights.json"
+    path.write_text('{"format": "scn-weights", "version": 1, "matrices": {}}\n')
+    with pytest.raises(ValueError, match="version 1"):
         load_weights(path)
