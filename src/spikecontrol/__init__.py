@@ -3,7 +3,7 @@ linear plants: a greedy spike rule plus analytically derived connectivity make
 the population's linear readout track a Kalman filter / LQG controller."""
 
 from .state_space import (LinearSystem, NoiseSource, StreamLabel, make_rng,
-                          validate, euler_step, observe, linearize)
+                          linearize)
 from .riccati import LqrCost, CareSolution, solve_care, lqr_gain, kalman_gain
 from .plants import (SmdParams, CartpoleParams, PulseSchedule, CARTPOLE_UP,
                      smd_dynamics, smd_system, cartpole_dynamics,

@@ -69,12 +69,6 @@ class ReferenceSchedule:
     def state_dim(self):
         return self.values.shape[1]
 
-    def value(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t + 1e-9, side="right"))
-        if idx == 0:
-            return np.zeros(self.state_dim)
-        return self.values[idx - 1]
-
     def sample_grid(self, n: int, dt: float):
         tgrid = np.arange(n) * dt
         idx = np.searchsorted(self.times, tgrid + 1e-9, side="right")
@@ -116,8 +110,15 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario name {self.name!r}")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        positive = ["dt", "duration", "sigma_n", "gamma_x"]
+        if self.gamma_z is not None:
+            positive.append("gamma_z")
+        for key in positive + ["sigma_d", "eta_v", "leak"]:
+            value = getattr(self, key)
+            sign_ok = value > 0 if key in positive else value >= 0
+            if not (math.isfinite(value) and sign_ok):
+                kind = "positive" if key in positive else "nonnegative"
+                raise ValueError(f"{key} = {value:g} must be finite and {kind}")
         if self.n_neurons < 1:
             raise ValueError("need at least one neuron")
         if self.dt * self.leak >= 1:
@@ -294,10 +295,9 @@ def build_network(sc: Scenario):
 def _noise_rows(sc: Scenario, system: LinearSystem):
     """Per-step (disturbance, sensor, voltage-noise) rows, already scaled;
     the voltage rows come from a generator."""
-    dist = NoiseSource(sc.sigma_d * np.eye(system.state_dim), sc.master_seed,
+    dist = NoiseSource(sc.sigma_d, system.state_dim, sc.master_seed,
                        StreamLabel.DISTURBANCE)
-    sens = NoiseSource(sc.sigma_n * np.eye(system.obs_dim), sc.master_seed,
-                       StreamLabel.SENSOR)
+    sens = NoiseSource(sc.sigma_n, system.obs_dim, sc.master_seed, StreamLabel.SENSOR)
     n, sdt = sc.n_steps, np.sqrt(sc.dt)
     return (sdt * dist.sample_block(n), sens.sample_block(n),
             (sdt * row for row in _voltage_rows(sc, n)))
@@ -313,15 +313,11 @@ def _reference_rows(sc: Scenario):
 
 
 def _voltage_rows(sc: Scenario, n: int, block: int = 16384):
-    """Yield n per-step rows of unit draws times sqrt(eta_v**2), the factor of
-    the covariance eta_v**2 I, drawn in blocks to bound memory."""
-    rng = make_rng(sc.master_seed, StreamLabel.VOLTAGE)
-    scale = np.sqrt(sc.eta_v ** 2)
-    done = 0
-    while done < n:
-        m = min(block, n - done)
-        yield from rng.standard_normal((m, sc.n_neurons)) * scale
-        done += m
+    """Yield n per-step rows of voltage noise of variance eta_v**2, drawn in
+    blocks to bound memory."""
+    src = NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
+    for start in range(0, n, block):
+        yield from src.sample_block(min(block, n - start))
 
 
 def _meta(sc: Scenario, **extra) -> dict:
@@ -504,7 +500,8 @@ def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> SparsityResult:
 
 
 def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> SweepResult:
-    """Grid of 5 s runs over (sensor noise, pulse magnitude).
+    """Grid of closed-loop runs over (sensor noise, pulse magnitude), each
+    lasting the scenario's duration.
 
     All cells share the same decoders and the same unit noise draws (scaled
     per cell), so differences across the grid reflect the swept parameters
@@ -529,7 +526,10 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     n, dt = sc.n_steps, sc.dt
     z, zdot = sc.reference.sample_grid(n, dt)
     time = np.arange(n) * dt
-    # Common random numbers: unit draws made once, scaled per cell.
+    # Common random numbers: unit draws made once, scaled per cell. Drawing
+    # each cell's rows through `_noise_rows` gives the same rows up to
+    # rounding, but builds three streams per cell instead of three per sweep,
+    # which made a 2 x 2 sweep's set-up 13-29% slower.
     w_unit = make_rng(sc.master_seed, StreamLabel.DISTURBANCE).standard_normal(
         (n, system.state_dim))
     e_unit = make_rng(sc.master_seed, StreamLabel.SENSOR).standard_normal(

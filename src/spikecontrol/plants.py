@@ -104,9 +104,6 @@ class PulseSchedule:
         if self.onset < 0 or self.duration <= 0:
             raise ValueError("pulse onset must be nonnegative and duration positive")
 
-    def force(self, t: float) -> float:
-        return self.magnitude if self.onset <= t < self.onset + self.duration else 0.0
-
     def profile(self, tgrid: np.ndarray) -> np.ndarray:
         return np.where(
             (tgrid >= self.onset) & (tgrid < self.onset + self.duration), self.magnitude, 0.0

@@ -1,4 +1,4 @@
-"""Linear state-space models, seeded noise streams, and Euler-Maruyama stepping."""
+"""Linear state-space models, seeded noise streams, and finite-difference Jacobians."""
 
 from dataclasses import dataclass
 from enum import IntEnum
@@ -25,63 +25,24 @@ def make_rng(seed: int, label: StreamLabel) -> np.random.Generator:
 
 
 class NoiseSource:
-    """Zero-mean Gaussian noise with a fixed covariance on a labelled stream.
+    """Zero-mean Gaussian noise of covariance `variance * I` on a labelled stream.
 
-    Sampling is deterministic given (seed, label): two sources constructed with
-    the same pair replay the same sequence, and `sample_block(n)` yields the
-    same values as n successive `sample()` calls.
+    Draws are deterministic given (seed, label): two sources constructed with
+    the same pair replay the same sequence, and successive blocks continue one
+    stream, so drawing in blocks yields the same values as one large draw.
     """
 
-    def __init__(self, covariance, seed: int, label: StreamLabel):
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-        if cov.shape[0] != cov.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        self.covariance = cov
-        self.seed = int(seed)
-        self.label = label
-        self.dim = cov.shape[0]
-        self._factor = _covariance_factor(cov)
-        # Diagonal factors (the common case: scalar * identity covariance) are
-        # applied as an elementwise product so that block draws and one-at-a-time
-        # draws agree bitwise; dense factors fall back to a per-row product for
-        # the same reason.
-        off_diag = self._factor - np.diag(self._factor.diagonal())
-        self._factor_diag = self._factor.diagonal().copy() if not off_diag.any() else None
+    def __init__(self, variance: float, dim: int, seed: int, label: StreamLabel):
+        variance = float(variance)
+        if not 0 <= variance < np.inf:
+            raise ValueError(f"noise variance must be finite and nonnegative, got {variance}")
+        self.dim = int(dim)
+        self._scale = np.sqrt(variance)
         self._rng = make_rng(seed, label)
-
-    def _transform(self, z: np.ndarray) -> np.ndarray:
-        if self._factor_diag is not None:
-            return z * self._factor_diag
-        if z.ndim == 1:
-            return z @ self._factor.T
-        return np.stack([row @ self._factor.T for row in z])
-
-    def sample(self) -> np.ndarray:
-        """Draw one sample (a `dim`-vector)."""
-        return self._transform(self._rng.standard_normal(self.dim))
 
     def sample_block(self, n: int) -> np.ndarray:
         """Draw `n` consecutive samples as an (n, dim) array."""
-        return self._transform(self._rng.standard_normal((n, self.dim)))
-
-    def reset(self):
-        """Rewind the stream to its start."""
-        self._rng = make_rng(self.seed, self.label)
-
-
-def _covariance_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix F with F F^T = cov; tolerates positive semidefinite input."""
-    if not cov.any():
-        return np.zeros_like(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(cov)
-        if evals.min() < -1e-10 * max(evals.max(), 1.0):
-            raise ValueError("covariance must be positive semidefinite") from None
-        return evecs * np.sqrt(np.clip(evals, 0.0, None))
+        return self._rng.standard_normal((n, self.dim)) * self._scale
 
 
 @dataclass
@@ -116,57 +77,6 @@ class LinearSystem:
     @property
     def obs_dim(self):
         return self.C.shape[0]
-
-
-def validate(sys: LinearSystem) -> list:
-    """Return a list of human-readable shape/definiteness violations (empty if valid)."""
-    problems = []
-    if sys.A.ndim != 2 or sys.A.shape[0] != sys.A.shape[1]:
-        problems.append("A not square")
-    n = sys.A.shape[0]
-    if sys.B.ndim != 2 or sys.B.shape[0] != n:
-        problems.append("B row count does not match A")
-    if sys.C.ndim != 2 or sys.C.shape[1] != n:
-        problems.append("C column count does not match A")
-    for name, mat, strict in (("sigma_d", sys.sigma_d, False), ("sigma_n", sys.sigma_n, True)):
-        if mat.shape[0] != mat.shape[1]:
-            problems.append(f"{name} not square")
-            continue
-        if not np.allclose(mat, mat.T, atol=1e-10):
-            problems.append(f"{name} not symmetric")
-            continue
-        evals = np.linalg.eigvalsh(mat)
-        if strict and evals.min() <= 0:
-            problems.append(f"{name} not positive definite")
-        elif not strict and evals.min() < -1e-10:
-            problems.append(f"{name} not positive semidefinite")
-    if sys.sigma_d.shape[0] != n and "sigma_d not square" not in problems:
-        problems.append("sigma_d size does not match state dimension")
-    if sys.sigma_n.shape[0] != sys.C.shape[0] and "sigma_n not square" not in problems:
-        problems.append("sigma_n size does not match observation dimension")
-    return problems
-
-
-def euler_step(sys: LinearSystem, x, u, dt: float, disturbance: NoiseSource = None):
-    """One forward-Euler step of the plant.
-
-    The disturbance sample is scaled by sqrt(dt) so that the per-step
-    covariance is dt * sigma_d (Euler-Maruyama convention).
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x_next = x + dt * (sys.A @ x + sys.B @ u)
-    if disturbance is not None:
-        x_next = x_next + np.sqrt(dt) * disturbance.sample()
-    return x_next
-
-
-def observe(sys: LinearSystem, x, sensor: NoiseSource = None):
-    """Observation y = C x plus (unscaled) per-sample sensor noise."""
-    y = sys.C @ np.asarray(x, dtype=float)
-    if sensor is not None:
-        y = y + sensor.sample()
-    return y
 
 
 def linearize(f, x_eq, u_eq, h: float = 1e-6):

@@ -40,12 +40,11 @@ def ctrl_silenced():
 
 def test_schedule_values_and_zero_prehistory():
     sched = ReferenceSchedule(times=[1.0, 3.0], values=[[2.0, 0.0], [5.0, 0.0]])
-    np.testing.assert_array_equal(sched.value(0.0), [0.0, 0.0])
-    np.testing.assert_array_equal(sched.value(0.999), [0.0, 0.0])
-    np.testing.assert_array_equal(sched.value(1.0), [2.0, 0.0])
-    np.testing.assert_array_equal(sched.value(2.9), [2.0, 0.0])
-    np.testing.assert_array_equal(sched.value(3.0), [5.0, 0.0])
-    np.testing.assert_array_equal(sched.value(100.0), [5.0, 0.0])
+    z, _ = sched.sample_grid(100_001, 1e-3)
+    rows = {0.0: [0.0, 0.0], 0.999: [0.0, 0.0], 1.0: [2.0, 0.0], 2.9: [2.0, 0.0],
+            3.0: [5.0, 0.0], 100.0: [5.0, 0.0]}
+    for t, value in rows.items():
+        np.testing.assert_array_equal(z[round(t / 1e-3)], value)
 
 
 def test_schedule_grid_forward_difference():
@@ -122,6 +121,26 @@ def test_scenario_validation():
         replace(base, dt=0.5)
     # The cartpole linearization is unstable: the plant check does not apply.
     replace(cartpole_scenario(0), dt=0.01)
+    # Noise, decoder and leak values: finite, and positive or nonnegative.
+    ctrl = smd_control_scenario(0)
+    for key, value, message in (
+            ("sigma_n", 0.0, "sigma_n = 0 must be finite and positive"),
+            ("sigma_n", -0.1, "sigma_n = -0.1 must be finite and positive"),
+            ("sigma_d", -0.1, "sigma_d = -0.1 must be finite and nonnegative"),
+            ("eta_v", -1e-5, "eta_v = -1e-05 must be finite and nonnegative"),
+            ("leak", -0.1, "leak = -0.1 must be finite and nonnegative"),
+            ("gamma_x", 0.0, "gamma_x = 0 must be finite and positive"),
+            ("gamma_z", -0.1, "gamma_z = -0.1 must be finite and positive"),
+            ("duration", np.inf, "duration = inf must be finite and positive"),
+            ("dt", np.nan, "dt = nan must be finite and positive")):
+        with pytest.raises(ValueError, match=message):
+            replace(ctrl, **{key: value})
+    for key in ("sigma_n", "sigma_d", "eta_v", "leak", "gamma_x", "gamma_z"):
+        with pytest.raises(ValueError, match=f"{key} = nan must be finite"):
+            replace(ctrl, **{key: np.nan})
+    # Zero is allowed where the bound is nonnegative, and gamma_z may be unset.
+    replace(ctrl, sigma_d=0.0, eta_v=0.0, leak=0.0)
+    assert replace(ctrl, gamma_z=None).gamma_z is None
 
 
 def test_scenario_sorts_silencing():
@@ -362,6 +381,32 @@ def test_small_sweep_shapes():
     assert res.meta["noise_grid"] == [0.001, 0.01]
 
 
+def test_sweep_cells_follow_run_control(monkeypatch):
+    # The sweep scales unit draws made once per sweep; each cell must see the
+    # rows `_noise_rows` would draw for that cell's scenario, up to rounding.
+    cells = []
+
+    def recording(*args):
+        result = closed_loop(*args)
+        cells.append(result[0])
+        return result
+
+    closed_loop = experiments._closed_loop
+    monkeypatch.setattr(experiments, "_closed_loop", recording)
+    sc = replace(robustness_scenario(4), duration=0.4,
+                 pulse=replace(robustness_scenario(4).pulse, onset=0.1))
+    sn, pulses = 0.01, (300.0, 900.0)
+    run_robustness_sweep(sc, noise_grid=[sn], pulse_grid=pulses)
+    monkeypatch.undo()
+    assert len(cells) == 2
+    for cell, m in zip(cells, pulses):
+        ref = run_control(replace(sc, sigma_n=sn, pulse=replace(sc.pulse, magnitude=m)))
+        assert cell.spikes == ref.spikes and cell.spike_count > 0
+        for name in ("x", "oracle_x"):
+            got, want = getattr(cell, name), getattr(ref, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -492,9 +537,30 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             (["control", "--config", str(short_state)], "x0 has 1 entries"),
             (["cartpole", "--config", str(short_state)], "x0 has 1 entries"),
             (["control", "--neurons", "0"], "at least one neuron"),
-            (["estimate", "--dt", "0.5"], "Euler-unstable")):
+            (["estimate", "--dt", "0.5"], "Euler-unstable"),
+            (["control", "--duration", "inf"], "duration = inf must be finite")):
         out = tmp_path / "rejected"
         assert cli_main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+    # Noise, decoder and leak values set in a config file.
+    for line, message in (
+            ("noise.sigma_n = 0", "sigma_n = 0 must be finite and positive"),
+            ("noise.sigma_n = -0.1", "sigma_n = -0.1 must be finite and positive"),
+            ("noise.sigma_d = -0.1", "sigma_d = -0.1 must be finite and nonnegative"),
+            ("network.eta_v = -1e-5", "eta_v = -1e-05 must be finite and nonnegative"),
+            ("network.leak = -0.1", "leak = -0.1 must be finite and nonnegative"),
+            ("network.gamma_x = 0", "gamma_x = 0 must be finite and positive"),
+            ("network.gamma_z = 0", "gamma_z = 0 must be finite and positive"),
+            ("integration.duration = inf", "duration = inf must be finite"),
+            ("noise.sigma_d = nan", "sigma_d = nan must be finite"),
+            ("network.eta_v = nan", "eta_v = nan must be finite"),
+            ("network.leak = nan", "leak = nan must be finite"),
+            ("network.gamma_x = nan", "gamma_x = nan must be finite")):
+        bad_value = tmp_path / "value.cfg"
+        bad_value.write_text(line + "\n")
+        out = tmp_path / "rejected"
+        assert cli_main(["control", "--config", str(bad_value), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 

@@ -4,8 +4,7 @@ import numpy as np
 
 from spikecontrol import (LinearSystem, LqgState, SmdParams,
                           closed_loop_steady_state, estimator_step,
-                          kalman_gain, lqg_step, lqr_gain, observe,
-                          euler_step, smd_system)
+                          kalman_gain, lqg_step, lqr_gain, smd_system)
 
 
 def _system(p=None, sigma_d=0.001, sigma_n=0.001):
@@ -45,9 +44,9 @@ def test_noiseless_matched_filter_is_exact():
     rng = np.random.default_rng(1)
     for _ in range(200):
         u = rng.standard_normal(1)
-        y = observe(sys, x)
+        y = sys.C @ x
         estimator_step(sys, kf, st, y=y, u_ext=u, dt=1e-3)
-        x = euler_step(sys, x, u, 1e-3)
+        x = x + 1e-3 * (sys.A @ x + sys.B @ u)
         np.testing.assert_array_equal(st.x_hat, x)
 
 
@@ -65,9 +64,9 @@ def test_estimator_error_decays_at_the_closed_loop_rate():
     norms = {}
     checkpoints = {int(round(period / dt)): 1, int(round(2 * period / dt)): 2}
     for i in range(1, max(checkpoints) + 1):
-        y = observe(sys, x)
+        y = sys.C @ x
         estimator_step(sys, kf, st, y=y, u_ext=[0.0], dt=dt)
-        x = euler_step(sys, x, [0.0], dt)
+        x = x + dt * (sys.A @ x)
         if i in checkpoints:
             norms[checkpoints[i]] = np.linalg.norm(x - st.x_hat)
     rate = -np.log(norms[2] / norms[1]) / period
@@ -92,8 +91,8 @@ def test_closed_loop_settles_at_the_predicted_offset():
     st = LqgState(x_hat=np.zeros(2))
     worst = 0.0
     for i in range(int(total / dt)):
-        st = lqg_step(sys, kf, kc, st, y=observe(sys, x), z=z, dt=dt)
-        x = euler_step(sys, x, st.u, dt)
+        st = lqg_step(sys, kf, kc, st, y=sys.C @ x, z=z, dt=dt)
+        x = x + dt * (sys.A @ x + sys.B @ st.u)
         if (i + 1) * dt > 5 * tau:
             worst = max(worst, abs(x[0] - x_ss[0]))
     assert worst < 0.01 * z[0]

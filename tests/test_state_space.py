@@ -1,17 +1,23 @@
-"""Noise streams, plant stepping, observation, and finite-difference Jacobians."""
+"""Noise streams, the plant step and observation of the closed-loop kernel,
+and finite-difference Jacobians."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikecontrol import (LinearSystem, NoiseSource, SmdParams, StreamLabel,
-                          euler_step, linearize, make_rng, observe, smd_system,
-                          validate)
+from spikecontrol import (NoiseSource, SmdParams, StreamLabel, linearize,
+                          make_rng, robustness_scenario, run_control,
+                          smd_system)
 
 
-def _smd_linear_system(sigma_d=0.001, sigma_n=0.001):
-    A, B, C = smd_system(SmdParams())
-    return LinearSystem(A=A, B=B, C=C, sigma_d=sigma_d * np.eye(2),
-                        sigma_n=sigma_n * np.eye(1))
+def _kernel_run(**changes):
+    """A five-step SMD control run through the closed-loop kernel, and the
+    plant matrices; `changes` replace scenario fields."""
+    sc = replace(robustness_scenario(3), **changes)
+    sc = replace(sc, duration=5 * sc.dt)
+    A, B, C = smd_system(sc.plant)
+    return sc, run_control(sc), A, B, C
 
 
 # ---------------------------------------------------------------------------
@@ -33,33 +39,41 @@ def test_make_rng_streams_are_distinct():
 
 
 def test_noise_source_replay():
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    s1 = NoiseSource(cov, seed=11, label=StreamLabel.DISTURBANCE)
-    s2 = NoiseSource(cov, seed=11, label=StreamLabel.DISTURBANCE)
-    draws1 = np.array([s1.sample() for _ in range(50)])
-    draws2 = np.array([s2.sample() for _ in range(50)])
-    np.testing.assert_array_equal(draws1, draws2)
-
-
-def test_noise_source_reset_restarts_stream():
-    src = NoiseSource(np.eye(2), seed=5, label=StreamLabel.SENSOR)
-    first = src.sample_block(20)
-    src.reset()
-    np.testing.assert_array_equal(src.sample_block(20), first)
+    s1 = NoiseSource(2.0, 2, seed=11, label=StreamLabel.DISTURBANCE)
+    s2 = NoiseSource(2.0, 2, seed=11, label=StreamLabel.DISTURBANCE)
+    np.testing.assert_array_equal(s1.sample_block(50), s2.sample_block(50))
+    np.testing.assert_array_equal(s1.sample_block(7), s2.sample_block(7))
 
 
 def test_sample_block_matches_repeated_samples():
-    cov = np.array([[1.5, -0.2], [-0.2, 0.7]])
-    blocked = NoiseSource(cov, seed=9, label=StreamLabel.VOLTAGE).sample_block(17)
-    looped = NoiseSource(cov, seed=9, label=StreamLabel.VOLTAGE)
-    rows = np.array([looped.sample() for _ in range(17)])
+    # Successive blocks continue one stream: 17 one-row blocks, or blocks of
+    # 5 and 12 rows, give the rows of one 17-row block.
+    blocked = NoiseSource(1.5, 2, seed=9, label=StreamLabel.VOLTAGE).sample_block(17)
+    looped = NoiseSource(1.5, 2, seed=9, label=StreamLabel.VOLTAGE)
+    rows = np.vstack([looped.sample_block(1) for _ in range(17)])
     np.testing.assert_array_equal(blocked, rows)
+    split = NoiseSource(1.5, 2, seed=9, label=StreamLabel.VOLTAGE)
+    np.testing.assert_array_equal(
+        blocked, np.vstack([split.sample_block(5), split.sample_block(12)]))
+
+
+def test_noise_source_matches_cholesky_factor():
+    # Seeded replay of the covariance form: unit draws times the Cholesky
+    # factor of s*I, bit for bit and sign for sign.
+    for label in (StreamLabel.DISTURBANCE, StreamLabel.SENSOR, StreamLabel.VOLTAGE):
+        for dim in (1, 2, 4):
+            for s in (1e-14, 1e-10, 1e-5, 1e-3, 0.1, 0.3, 1.0, 2.0, 7.0, 10.0):
+                got = NoiseSource(s, dim, seed=5, label=label).sample_block(64)
+                unit = make_rng(5, label).standard_normal((64, dim))
+                want = unit * np.linalg.cholesky(s * np.eye(dim)).diagonal()
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_noise_source_statistics():
-    # 1e5 samples: sample mean ~ 0 and sample covariance ~ cov within 5%.
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    draws = NoiseSource(cov, seed=0, label=StreamLabel.DISTURBANCE).sample_block(100_000)
+    # 1e5 samples: sample mean ~ 0 and sample covariance ~ 2 I within 5%.
+    cov = 2.0 * np.eye(2)
+    draws = NoiseSource(2.0, 2, seed=0, label=StreamLabel.DISTURBANCE).sample_block(100_000)
     mean = draws.mean(axis=0)
     emp = np.cov(draws.T)
     assert np.abs(mean).max() < 0.05 * np.sqrt(cov.diagonal().max())
@@ -67,94 +81,76 @@ def test_noise_source_statistics():
 
 
 def test_noise_source_zero_covariance():
-    src = NoiseSource(np.zeros((2, 2)), seed=1, label=StreamLabel.DISTURBANCE)
+    src = NoiseSource(0.0, 2, seed=1, label=StreamLabel.DISTURBANCE)
     np.testing.assert_array_equal(src.sample_block(4), np.zeros((4, 2)))
 
 
 def test_noise_source_rejects_bad_covariance():
-    with pytest.raises(ValueError):
-        NoiseSource(np.array([[1.0, 0.5], [0.0, 1.0]]), seed=0,
-                    label=StreamLabel.DISTURBANCE)
-    with pytest.raises(ValueError):
-        NoiseSource(np.array([[1.0, 2.0], [2.0, 1.0]]), seed=0,
-                    label=StreamLabel.DISTURBANCE)  # indefinite
-
-
-# ---------------------------------------------------------------------------
-# system validation
-
-
-def test_validate_accepts_smd():
-    assert validate(_smd_linear_system()) == []
-
-
-def test_validate_flags_nonsquare_A():
-    sys = LinearSystem(A=np.zeros((2, 3)), B=np.zeros((2, 1)),
-                       C=np.zeros((1, 2)), sigma_d=np.eye(2), sigma_n=np.eye(1))
-    assert "A not square" in validate(sys)
-
-
-def test_validate_flags_shape_mismatches():
-    sys = LinearSystem(A=np.zeros((2, 2)), B=np.zeros((3, 1)),
-                       C=np.zeros((1, 3)), sigma_d=np.eye(3), sigma_n=np.eye(2))
-    problems = validate(sys)
-    assert "B row count does not match A" in problems
-    assert "C column count does not match A" in problems
-    assert "sigma_d size does not match state dimension" in problems
+    for variance in (-0.1, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            NoiseSource(variance, 2, seed=0, label=StreamLabel.DISTURBANCE)
 
 
 def test_validate_flags_noise_definiteness():
-    base = _smd_linear_system()
-    singular = LinearSystem(A=base.A, B=base.B, C=base.C,
-                            sigma_d=base.sigma_d, sigma_n=np.zeros((1, 1)))
-    assert "sigma_n not positive definite" in validate(singular)
-    indefinite = LinearSystem(A=base.A, B=base.B, C=base.C,
-                              sigma_d=-np.eye(2), sigma_n=base.sigma_n)
-    assert "sigma_d not positive semidefinite" in validate(indefinite)
-    skewed = LinearSystem(A=base.A, B=base.B, C=base.C,
-                          sigma_d=np.array([[1.0, 0.3], [0.0, 1.0]]),
-                          sigma_n=base.sigma_n)
-    assert "sigma_d not symmetric" in validate(skewed)
+    # The noise covariances are sigma * I, so definiteness is the sign of the
+    # scalar: a singular sensor covariance or an indefinite disturbance
+    # covariance is refused when the scenario is built.
+    base = robustness_scenario(3)
+    with pytest.raises(ValueError, match="sigma_n = 0 must be finite and positive"):
+        replace(base, sigma_n=0.0)
+    with pytest.raises(ValueError, match="sigma_d = -1 must be finite and nonnegative"):
+        replace(base, sigma_d=-1.0)
+    with pytest.raises(ValueError, match="noise variance must be finite"):
+        NoiseSource(-1.0, 2, seed=0, label=StreamLabel.DISTURBANCE)
+    # A semidefinite (zero) disturbance covariance is allowed: the kernel
+    # then steps the plant without any disturbance.
+    sc, traj, A, B, _ = _kernel_run(sigma_d=0.0)
+    np.testing.assert_array_equal(
+        traj.x[1:], traj.x[:-1] + sc.dt * (traj.x[:-1] @ A.T + traj.u[:-1] @ B.T))
 
 
 # ---------------------------------------------------------------------------
-# stepping and observation
+# the closed-loop kernel's plant step and observation
 
 
 def test_euler_step_double_integrator():
-    sys = LinearSystem(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                       B=np.zeros((2, 1)), C=np.eye(2),
-                       sigma_d=np.zeros((2, 2)), sigma_n=np.eye(2))
-    np.testing.assert_allclose(euler_step(sys, [1.0, 2.0], [0.0], 0.1),
-                               [1.2, 2.0], atol=1e-15)
+    # k = c = 0 leaves a double integrator: the position moves by dt * v and
+    # the velocity by dt * u / m, each plus that step's disturbance draw (the
+    # Kalman gain needs sigma_d > 0 here).
+    plant, dt, sigma_d = SmdParams(m=3.0, k=0.0, c=0.0), 0.1, 1e-6
+    sc, traj, A, B, _ = _kernel_run(plant=plant, x0=[1.0, 2.0], dt=dt, sigma_d=sigma_d)
+    w = np.sqrt(dt) * (make_rng(sc.master_seed, StreamLabel.DISTURBANCE)
+                       .standard_normal((5, 2)) * np.sqrt(sigma_d))
+    np.testing.assert_allclose(traj.x[1], [1.2 + w[0, 0], 2.0 + dt * traj.u[0, 0] / 3.0
+                                           + w[0, 1]], atol=1e-15)
+    np.testing.assert_allclose(traj.x[1:], traj.x[:-1] + dt * (
+        traj.x[:-1] @ A.T + traj.u[:-1] @ B.T) + w[:-1], atol=1e-15)
 
 
 def test_euler_step_smd_from_unit_position():
-    sys = _smd_linear_system()
-    x1 = euler_step(sys, [1.0, 0.0], [0.0], 1e-3)
-    np.testing.assert_allclose(x1, [1.0, -(5.0 / 3.0) * 1e-3], rtol=1e-12)
+    sc, traj, A, B, _ = _kernel_run(x0=[1.0, 0.0], dt=1e-3, sigma_d=0.0)
+    u0 = traj.u[0, 0]
+    np.testing.assert_allclose(traj.x[1], [1.0, 1e-3 * (-5.0 / 3.0 + u0 / 3.0)],
+                               rtol=1e-12)
 
 
 def test_euler_step_disturbance_scaling():
     # Per-step disturbance variance is dt * sigma_d: the injected sample is
     # sqrt(dt) times a unit-covariance draw here.
-    sys = LinearSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2),
-                       sigma_d=np.eye(2), sigma_n=np.eye(2))
     dt = 0.04
-    src = NoiseSource(np.eye(2), seed=3, label=StreamLabel.DISTURBANCE)
-    expected = np.sqrt(dt) * NoiseSource(np.eye(2), seed=3,
-                                         label=StreamLabel.DISTURBANCE).sample()
-    np.testing.assert_allclose(euler_step(sys, [0.0, 0.0], [0.0], dt, src),
-                               expected, atol=1e-15)
+    sc, traj, A, B, _ = _kernel_run(dt=dt, sigma_d=1.0)
+    unit = make_rng(sc.master_seed, StreamLabel.DISTURBANCE).standard_normal((5, 2))
+    drift = traj.x[:-1] + dt * (traj.x[:-1] @ A.T + traj.u[:-1] @ B.T)
+    np.testing.assert_allclose(traj.x[1:] - drift, np.sqrt(dt) * unit[:-1],
+                               atol=1e-15)
 
 
 def test_observe_reads_position():
-    sys = _smd_linear_system()
-    np.testing.assert_array_equal(observe(sys, [0.7, -2.0]), [0.7])
-    noisy = observe(sys, [0.7, -2.0],
-                    NoiseSource(np.eye(1), seed=2, label=StreamLabel.SENSOR))
-    assert noisy.shape == (1,)
-    assert noisy[0] != 0.7
+    # y = C x plus the sensor draw of that step, of variance sigma_n.
+    sc, traj, _, _, C = _kernel_run(sigma_n=0.3)
+    e = make_rng(sc.master_seed, StreamLabel.SENSOR).standard_normal((5, 1))
+    np.testing.assert_array_equal(traj.y, traj.x @ C.T + e * np.sqrt(0.3))
+    assert not np.array_equal(traj.y[:, 0], traj.x[:, 0])
 
 
 # ---------------------------------------------------------------------------
