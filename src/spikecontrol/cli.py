@@ -8,12 +8,13 @@ trajectory).
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import experiments as ex
-from .config import ConfigError, apply_config, load_config
+from .config import ConfigError, _want_tuple, apply_config, load_config
 from .scn import NetworkDivergedError, save_weights
 
 _RUN_HELP = {
@@ -103,11 +104,14 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     cfg = load_config(args.config) if args.config else {}
-    grids = {
-        "noise": cfg.pop("sweep.noise_grid", None),
-        "pulse": cfg.pop("sweep.pulse_grid", None),
-    }
-    lambdas = cfg.pop("sparsity.lambdas", None)
+    # List keys that are not scenario fields; a single value is one entry.
+    noise, pulse, lambdas = (_want_tuple(key, cfg.pop(key)) if key in cfg else None
+                             for key in ("sweep.noise_grid", "sweep.pulse_grid",
+                                         "sparsity.lambdas"))
+    for value in noise or ():  # each is a cell's sigma_n, and obeys its rule
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"sweep.noise_grid entry {value:g} must be finite "
+                              "and positive, like noise.sigma_n")
     sc = _build_scenario(command, args, cfg)
     out = Path(args.out) if args.out else Path("out") / command
     out.mkdir(parents=True, exist_ok=True)
@@ -121,8 +125,6 @@ def run(argv=None) -> int:
     elif command == "sparsity":
         if lambdas is None:
             lambdas = ex.DEFAULT_LAMBDAS
-        elif not isinstance(lambdas, tuple):
-            lambdas = (lambdas,)
         result = ex.run_sparsity(sc, lambdas)
         for lam, traj in zip(result.lambdas, result.trajectories):
             sub = out / f"lambda_{lam:g}"
@@ -136,7 +138,7 @@ def run(argv=None) -> int:
             "artifact_choices": ex._artifact_choices(sc),
         }, out / "summary.json")
     elif command == "sweep":
-        result = ex.run_robustness_sweep(sc, grids["noise"], grids["pulse"])
+        result = ex.run_robustness_sweep(sc, noise, pulse)
         for name, matrix in (("scn_mae", result.scn_mae),
                              ("oracle_mae", result.oracle_mae),
                              ("scn_rmse", result.scn_rmse),

@@ -1,5 +1,6 @@
 """Ground-truth plants: spring-mass-damper and the nonlinear cartpole."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,10 @@ class CartpoleParams:
 def cartpole_dynamics(p: CartpoleParams, x, u):
     """State rate for x = (cart pos, cart vel, pole angle, pole ang. vel), force u."""
     u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
-    _, vel, theta, omega = x
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    # Python floats and math.sin/cos: the same IEEE operations as on numpy
+    # scalars, without their per-operation dispatch.
+    _, vel, theta, omega = np.asarray(x, dtype=float).tolist()
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
     den = p.m * p.L**2 * (p.M + p.m * (1.0 - cos_t**2))
     swing = p.m * p.L * omega**2 * sin_t - p.d * vel
     acc_cart = (

@@ -221,20 +221,21 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
     names = MODE_INPUTS.get(weights.mode)
     if names is None:
         raise ValueError(f"unknown network mode {weights.mode!r}")
-    given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
-    inputs = [given[name] for name in names]
-    if any(value is None for value in inputs):
-        raise ValueError(f"{weights.mode} step needs "
-                         f"{', '.join(names[:-1])} and {names[-1]}")
+    if names:
+        given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
+        inputs = [given[name] for name in names]
+        if any(value is None for value in inputs):
+            raise ValueError(f"{weights.mode} step needs "
+                             f"{', '.join(names[:-1])} and {names[-1]}")
     D, v, r = weights.decoders, state.v, state.r
-    # ndarray.dot: for these small operands it costs half of `@`.
+    # ndarray.dot (half the cost of `@` here) and array methods skip np.* dispatch.
     q = weights.recurrent.dot(D.dot(r))
-    if inputs:
+    if names:
         q += weights.input_op.dot(np.concatenate(inputs))
     v += dt * (q.dot(D) - weights.leak * v)
     if noise is not None:
         v += noise
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NetworkDivergedError(
             f"network diverged at step {state.step} (t={state.t:.6g})"
         )
@@ -243,7 +244,7 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
     excess = v - weights.thresholds
     if state.any_silenced:
         excess[state.silenced] = -np.inf
-    winner = int(np.argmax(excess))
+    winner = int(excess.argmax())
     spike = None
     if excess[winner] > 0.0:
         v -= D[:, winner].dot(D)

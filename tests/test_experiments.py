@@ -1,6 +1,7 @@
 """Scenario runners, file formats, config handling, and the CLI."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -340,6 +341,57 @@ def test_trajectory_csv_control_columns_and_stride(tmp_path, ctrl_silenced):
     np.testing.assert_array_equal(first[1:3], ctrl_silenced.x[0])
 
 
+def _write_trajectory_per_float(traj, path, stride):
+    # The writer as it was before block writes: repr(float(v)) per value.
+    columns = [traj.time.reshape(-1, 1), traj.x, traj.y, traj.x_hat, traj.z_hat,
+               traj.u, traj.oracle_x_hat, traj.oracle_u, traj.oracle_x, traj.z]
+    columns = [arr for arr in columns if arr is not None]
+    with open(path, "w") as fh:
+        for i in range(0, len(traj.time), stride):
+            fh.write(",".join(repr(float(v)) for arr in columns for v in arr[i]) + "\n")
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_trajectory_csv_bytes_match_per_float_repr(tmp_path, stride):
+    # 10 613 rows: 20.7 blocks of 512 written rows at stride 1, 2.07 at 10.
+    n = 10_613
+    rng = np.random.default_rng(5)
+    special = [-0.0, 5e-324, 1e22, 0.1 + 0.2, np.inf, -np.inf, np.nan, 0.0]
+
+    def column(width):
+        arr = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-300, 300, (n, width))
+        arr.flat[rng.choice(arr.size, 40 * len(special))] = np.repeat(special, 40)
+        return arr
+
+    traj = experiments.Trajectory(
+        time=np.arange(n) * 1e-3, x=column(2), y=column(1), x_hat=column(2),
+        oracle_x_hat=column(2), z_hat=column(2), u=column(1), z=column(2),
+        oracle_u=column(1), oracle_x=column(2))
+    traj.x[:len(special), 0] = special  # in the first and the last block
+    traj.x[-len(special):, 1] = special
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory(traj, got, stride=stride)
+    _write_trajectory_per_float(traj, want, stride)
+    header, body = got.read_bytes().split(b"\n", 1)
+    assert header.startswith(b"time,x1,x2,y1,")
+    assert body == want.read_bytes()
+    assert body.count(b"\n") == (n + stride - 1) // stride
+
+
+def test_voltage_rows_are_scaled_noise_source_blocks():
+    # 16 484 steps cross the 16 384-row block boundary of `_voltage_rows`.
+    sc = replace(smd_control_scenario(3), duration=16.484)
+    n = sc.n_steps
+    assert n == 16_484
+    _, _, rows = experiments._noise_rows(sc, build_network(sc)[0])
+    src = experiments.NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed,
+                                  experiments.StreamLabel.VOLTAGE)
+    want = np.sqrt(sc.dt) * src.sample_block(n)
+    got = np.array(list(rows))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_spike_csv_roundtrip(tmp_path, est_short):
     path = tmp_path / "spikes.csv"
     write_spikes(est_short, path)
@@ -563,6 +615,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert cli_main(["control", "--config", str(bad_value), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+    # Sweep noise values are the cells' sigma_n; a bad one fails before the
+    # output directory is made.
+    for line, message in (
+            ("sweep.noise_grid = 0, -0.01", "noise_grid entry 0 must be finite and positive"),
+            ("sweep.noise_grid = -0.01", "noise_grid entry -0.01 must be finite"),
+            ("sweep.noise_grid = 0.001, nan", "noise_grid entry nan must be finite"),
+            ("sweep.noise_grid = 0.001, inf", "noise_grid entry inf must be finite"),
+            ("sweep.noise_grid = 0.001, low", "noise_grid expects a comma-separated"),
+            ("sweep.pulse_grid = 100, big", "pulse_grid expects a comma-separated")):
+        bad_grid = tmp_path / "grid.cfg"
+        bad_grid.write_text(line + "\n")
+        out = tmp_path / "no_sweep"
+        assert cli_main(["sweep", "--config", str(bad_grid), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
@@ -592,6 +659,19 @@ def test_cli_sweep_outputs(tmp_path):
     assert [cell[:2] for cell in summary["failed_cells"]] == [[0, 2], [1, 2]]
     assert all("not finite" in cell[2] for cell in summary["failed_cells"])
     assert (out / "weights.json").is_file()
+    # A single value on each axis is a 1 x 1 sweep.
+    cfg.write_text("sweep.noise_grid = 0.01\nsweep.pulse_grid = 100\n"
+                   "pulse.onset = 0.1\nintegration.duration = 0.3\n")
+    out = tmp_path / "one_cell"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "sigma_n\\pulse,100.0"
+        assert len(lines) == 2 and lines[1].startswith("0.01,")
+        assert math.isfinite(float(lines[1].split(",")[1]))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["noise_grid"] == [0.01] and summary["pulse_grid"] == [100.0]
+    assert summary["failed_cells"] == []
 
 
 def test_cli_sparsity_outputs(tmp_path):

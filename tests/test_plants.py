@@ -79,6 +79,46 @@ def test_cartpole_force_pushes_cart():
     assert rate[1] > 0
 
 
+def _cartpole_dynamics_numpy(p, x, u):
+    # The formula on numpy scalars with np.sin/np.cos, as it was written
+    # before cartpole_dynamics moved to Python floats and math.sin/cos.
+    u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
+    _, vel, theta, omega = np.asarray(x, dtype=float)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    den = p.m * p.L**2 * (p.M + p.m * (1.0 - cos_t**2))
+    swing = p.m * p.L * omega**2 * sin_t - p.d * vel
+    acc_cart = (
+        -(p.m**2) * p.L**2 * p.g * cos_t * sin_t + p.m * p.L**2 * swing + p.m * p.L**2 * u
+    ) / den
+    acc_pole = (
+        (p.m + p.M) * p.m * p.g * p.L * sin_t - p.m * p.L * cos_t * swing - p.m * p.L * cos_t * u
+    ) / den
+    return np.array([vel, acc_cart, omega, acc_pole])
+
+
+@pytest.mark.parametrize("p", [CartpoleParams(),
+                               CartpoleParams(m=0.3, M=2.5, L=0.7, g=-9.81, d=0.2)])
+def test_cartpole_dynamics_bitwise_matches_numpy_scalar_formula(p):
+    rng = np.random.default_rng(11)
+    n = 2000
+    near = np.column_stack([rng.normal(0, 1, n), rng.normal(0, 0.5, n),
+                            np.pi + rng.uniform(-0.3, 0.3, n), rng.normal(0, 0.5, n)])
+    far = np.column_stack([rng.normal(0, 100, n), rng.normal(0, 50, n),
+                           rng.uniform(-20, 20, n), rng.normal(0, 50, n)])
+    forces = rng.normal(0, 30, 2 * n)
+    states = np.vstack([near, far, np.zeros((1, 4)), [CARTPOLE_UP]])
+    forces = np.concatenate([forces, [-0.0, 0.0]])
+    for i, (x, u) in enumerate(zip(states, forces)):
+        # the force as the kernel passes it, as a Python float and as an array
+        for force in (u, float(u), np.array([u])):
+            got = cartpole_dynamics(p, x, force)
+            want = _cartpole_dynamics_numpy(p, x, force)
+            assert np.array_equal(got, want), (i, x, u)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (i, x, u)
+    got = cartpole_dynamics(p, [0, 0, 3, 1], 2)  # a list of ints, an int force
+    assert np.array_equal(got, _cartpole_dynamics_numpy(p, np.array([0, 0, 3, 1]), 2))
+
+
 def test_cartpole_params_validation():
     with pytest.raises(ValueError):
         CartpoleParams(M=0.0)

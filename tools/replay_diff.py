@@ -1,0 +1,249 @@
+"""Check that another source tree of spikecontrol replays this one bit for bit.
+
+    python3 tools/replay_diff.py OTHER_SRC [--seeds 0 1 2 3 4]
+                                 [--skip-acceptance] [--workdir DIR]
+
+OTHER_SRC is another checkout, or its `src/` directory; for example the
+parent commit unpacked with `git archive HEAD~1 | tar -x -C /tmp/parent`.
+Both trees run the same cases, each tree in its own subprocess (the two run
+side by side, with BLAS pinned to one thread):
+
+- the four benchmark workloads of `perfbench/workloads.py`, at each seed,
+  through their runners (`run_control`, `run_robustness_sweep`,
+  `run_cartpole`), and a 10 s `run_estimation`;
+- the same workloads through the CLI, as the benchmark runs them, and a 10 s
+  `estimate`, each writing its output directory;
+- unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
+  length (A3 estimation, A4 control seeds 0-9, A5 silencing, A6 cartpole,
+  A7's 5 x 5 sweep, A8's three leaks) and the equilibrium-quiet control run.
+  They take a few minutes per tree.
+
+Every array of every result must be equal under np.array_equal (NaN equal
+to NaN) with equal np.signbit; the spike and silence logs, sweep failures
+and metadata must be equal; every file the CLI wrote must be byte-identical.
+Exit status: 0 when nothing differs, 1 on any difference or a crashed
+worker, 2 on a usage error.
+"""
+
+import argparse
+import dataclasses
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _source_dir(path: Path) -> Path:
+    for candidate in (path / "src", path):
+        if (candidate / "spikecontrol" / "__init__.py").is_file():
+            return candidate.resolve()
+    raise SystemExit(f"error: no spikecontrol package under {path} or {path / 'src'}")
+
+
+# ---------------------------------------------------------------------------
+# worker: runs the cases on one tree
+
+
+def _flatten(result, prefix: str, out: dict):
+    """Store every field of a result dataclass under `prefix`: arrays as they
+    are, lists of results recursively, everything else as exact JSON."""
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        key = f"{prefix}{f.name}"
+        if isinstance(value, np.ndarray):
+            out[key] = value
+        elif (isinstance(value, list) and value
+              and dataclasses.is_dataclass(value[0])):
+            for i, item in enumerate(value):
+                _flatten(item, f"{key}[{i}].", out)
+        else:
+            # floats go out as repr, so -0.0 and every last bit are kept
+            out[key] = np.array(json.dumps(value, sort_keys=True, default=repr))
+
+
+def _cases(seeds, acceptance: bool, cli_dir: Path):
+    """(name, thunk) pairs. A thunk returns a result dataclass, or None
+    when it wrote its output directory under `cli_dir` instead."""
+    from dataclasses import replace
+
+    from spikecontrol import cli
+    from spikecontrol import experiments as ex
+    from workloads import WORKLOADS
+
+    def runner(workload, seed):
+        run, extra = workload.runner()
+        return lambda: run(workload.scenario(seed), *extra)
+
+    def cli_entry(workload, seed):
+        def thunk():
+            _, fn, args = workload.entry(seed, cli_dir / f"{workload.name}-s{seed}")
+            (cli_dir / f"{workload.name}-s{seed}.exit").write_text(f"{fn(*args)}\n")
+        return thunk
+
+    def cli_estimate(seed):
+        def thunk():
+            out = cli_dir / f"estimate-s{seed}"
+            code = cli.main(["estimate", "--duration", "10", "--seed", str(seed),
+                             "--out", str(out)])
+            (cli_dir / f"estimate-s{seed}.exit").write_text(f"{code}\n")
+        return thunk
+
+    cases = []
+    for seed in seeds:
+        for workload in WORKLOADS.values():
+            cases.append((f"{workload.name}-s{seed}", runner(workload, seed)))
+            cases.append((f"cli-{workload.name}-s{seed}", cli_entry(workload, seed)))
+        cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
+            replace(ex.estimation_scenario(s), duration=10.0))))
+        cases.append((f"cli-estimate-s{seed}", cli_estimate(seed)))
+    if acceptance:
+        cases.append(("A3-estimation",
+                      lambda: ex.run_estimation(ex.estimation_scenario(0))))
+        for seed in range(10):
+            cases.append((f"A4-control-s{seed}",
+                          lambda s=seed: ex.run_control(ex.smd_control_scenario(s))))
+        cases.append(("A5-silencing", lambda: ex.run_control(
+            ex.smd_control_scenario(7, with_silencing=True))))
+        cases.append(("A6-cartpole", lambda: ex.run_cartpole(ex.cartpole_scenario(0))))
+        cases.append(("A7-sweep", lambda: ex.run_robustness_sweep(
+            ex.robustness_scenario(7), np.logspace(-5, -1, 5),
+            np.linspace(100.0, 900.0, 5))))
+        cases.append(("A8-sparsity", lambda: ex.run_sparsity(ex.sparsity_scenario(7))))
+        cases.append(("equilibrium-quiet", lambda: ex.run_control(replace(
+            ex.smd_control_scenario(0), duration=2.0, sigma_d=0.0,
+            sigma_n=1e-12, eta_v=0.0))))
+    return cases
+
+
+def _worker(src: Path, out_dir: Path, seeds, acceptance: bool) -> int:
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import spikecontrol
+    if Path(spikecontrol.__file__).resolve().parent != src / "spikecontrol":
+        print(f"error: imported spikecontrol from {spikecontrol.__file__}, "
+              f"not from {src}", file=sys.stderr)
+        return 1
+    cli_dir = out_dir / "cli"
+    cli_dir.mkdir(parents=True)
+    for name, thunk in _cases(seeds, acceptance, cli_dir):
+        start = time.perf_counter()
+        try:
+            result = thunk()
+        except Exception as err:  # a failing case is compared like a result
+            arrays = {"error": np.array(f"{type(err).__name__}: {err}")}
+        else:
+            if result is None:
+                continue
+            arrays = {}
+            _flatten(result, "", arrays)
+        np.savez(out_dir / f"{name}.npz", **arrays)
+        print(f"[{src}] {name} {time.perf_counter() - start:.1f} s", flush=True)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def _array_diff(a: np.ndarray, b: np.ndarray):
+    """None when equal, else a short description of the first difference."""
+    if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+        return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
+    if a.dtype.kind in "US":
+        return None if a == b else "values differ"
+    same = a == b
+    if a.dtype.kind in "fc":
+        same |= np.isnan(a) & np.isnan(b)
+    if not same.all():
+        bad = np.argwhere(~same)
+        where = tuple(int(i) for i in bad[0])
+        return f"{len(bad)} entries differ, first at {where}: {a[where]!r} vs {b[where]!r}"
+    if a.dtype.kind == "f" and not np.array_equal(np.signbit(a), np.signbit(b)):
+        return "signs of zero differ"
+    return None
+
+
+def _compare_results(dir_a: Path, dir_b: Path) -> list:
+    diffs = []
+    names = sorted({p.name for p in dir_a.glob("*.npz")} | {p.name for p in dir_b.glob("*.npz")})
+    for name in names:
+        if not (dir_a / name).is_file() or not (dir_b / name).is_file():
+            diffs.append(f"{name[:-4]}: ran in one tree only")
+            continue
+        with np.load(dir_a / name) as a, np.load(dir_b / name) as b:
+            for key in sorted(set(a.files) | set(b.files)):
+                if key not in a.files or key not in b.files:
+                    diffs.append(f"{name[:-4]}: {key} in one tree only")
+                    continue
+                found = _array_diff(a[key], b[key])
+                if found:
+                    diffs.append(f"{name[:-4]}: {key}: {found}")
+    return diffs
+
+
+def _compare_files(dir_a: Path, dir_b: Path) -> list:
+    def listing(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+    files_a, files_b = listing(dir_a), listing(dir_b)
+    diffs = [f"cli/{rel}: written in one tree only" for rel in sorted(files_a ^ files_b)]
+    for rel in sorted(files_a & files_b):
+        if not filecmp.cmp(dir_a / rel, dir_b / rel, shallow=False):
+            diffs.append(f"cli/{rel}: bytes differ")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the other checkout or its src/")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    parser.add_argument("--skip-acceptance", action="store_true",
+                        help="leave out the full-length acceptance scenarios")
+    parser.add_argument("--workdir", type=Path,
+                        help="where both trees write their results "
+                             "(default: a temporary directory, removed after)")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--worker-out", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        return _worker(args.worker, args.worker_out, args.seeds, not args.skip_acceptance)
+
+    trees = {"this": _source_dir(ROOT), "other": _source_dir(args.other)}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.workdir if args.workdir is not None else Path(tmp)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        procs = {}
+        for label, src in trees.items():
+            out = work / label
+            if out.exists():
+                print(f"error: {out} exists; give an empty --workdir", file=sys.stderr)
+                return 2
+            cmd = [sys.executable, __file__, str(args.other), "--worker", str(src),
+                   "--worker-out", str(out), "--seeds", *map(str, args.seeds)]
+            if args.skip_acceptance:
+                cmd.append("--skip-acceptance")
+            procs[label] = subprocess.Popen(cmd, env=env)
+        crashed = [label for label, proc in procs.items() if proc.wait() != 0]
+        if crashed:
+            print(f"error: worker for {', '.join(crashed)} tree failed", file=sys.stderr)
+            return 1
+        diffs = (_compare_results(work / "this", work / "other")
+                 + _compare_files(work / "this" / "cli", work / "other" / "cli"))
+        runs = len(list((work / "this").glob("*.npz")))
+        files = sum(1 for p in (work / "this" / "cli").rglob("*") if p.is_file())
+    for line in diffs:
+        print(f"DIFF {line}")
+    print(f"{trees['this']} vs {trees['other']}: {runs} runs and {files} CLI files "
+          f"compared, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
