@@ -2,18 +2,15 @@
 linear plants: a greedy spike rule plus analytically derived connectivity make
 the population's linear readout track a Kalman filter / LQG controller."""
 
-from .state_space import (LinearSystem, NoiseSource, StreamLabel, make_rng,
-                          linearize)
+from .state_space import LinearSystem, NoiseSource, StreamLabel, make_rng
 from .riccati import LqrCost, CareSolution, solve_care, lqr_gain, kalman_gain
 from .plants import (SmdParams, CartpoleParams, PulseSchedule, CARTPOLE_UP,
-                     smd_dynamics, smd_system, cartpole_dynamics,
-                     cartpole_linearize_up)
+                     smd_system, cartpole_dynamics, cartpole_linearize_up)
 from .scn import (DecoderMatrix, ScnWeights, ScnState, Readout,
                   NetworkDivergedError, sample_decoder, build_autoencoder,
-                  build_dynamics_network, build_estimator, build_controller,
-                  new_state, network_step, decode, silence, save_weights,
-                  load_weights)
-from .lqg import LqgState, estimator_step, lqg_step, closed_loop_steady_state
+                  build_estimator, build_controller, new_state, network_step,
+                  decode, silence, save_weights, load_weights)
+from .lqg import LqgState, estimator_step, lqg_step
 from .experiments import (Scenario, ReferenceSchedule, Trajectory, SweepResult,
                           SparsityResult, PoleDroppedError, stair_reference,
                           estimation_scenario, smd_control_scenario,

@@ -184,6 +184,8 @@ def _want_float(key, value):
 
 
 def _want_tuple(key, value):
+    if value == ():
+        raise ConfigError(f"{key} is an empty list; give at least one number")
     if isinstance(value, tuple):
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in value):

@@ -110,6 +110,10 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario name {self.name!r}")
+        if self.name == "estimation":  # run_estimation runs no controller
+            for key in ("cost", "reference", "pulse", "silencing"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"the estimation scenario takes no {key}")
         positive = ["dt", "duration", "sigma_n", "gamma_x"]
         if self.gamma_z is not None:
             positive.append("gamma_z")
@@ -124,7 +128,7 @@ class Scenario:
         if self.dt * self.leak >= 1:
             raise ValueError(f"dt*leak = {self.dt * self.leak:.4g} must be below 1, "
                              "or the network's Euler step is unstable")
-        A = _plant_matrices(self.plant)[0]
+        A, B, _ = _plant_matrices(self.plant)
         rho = np.abs(np.linalg.eigvals(np.eye(len(A)) + self.dt * A)).max()
         if rho >= 1 and np.linalg.eigvals(A).real.max() < 0:
             raise ValueError(f"dt={self.dt:g} is Euler-unstable for the stable "
@@ -134,6 +138,12 @@ class Scenario:
         if self.x0.size != state_dim:
             raise ValueError(f"x0 has {self.x0.size} entries, but the "
                              f"{type(self.plant).__name__} state has {state_dim}")
+        if self.cost is not None:
+            for key, dim in (("Q", state_dim), ("R", B.shape[1])):
+                shape = getattr(self.cost, key).shape
+                if shape != (dim, dim):
+                    raise ValueError(f"cost {key} is {shape[0]}x{shape[1]}, but the "
+                                     f"{type(self.plant).__name__} plant needs {dim}x{dim}")
         if self.silencing:
             self.silencing = sorted(
                 (float(t), tuple(int(i) for i in ids)) for t, ids in self.silencing

@@ -56,14 +56,3 @@ def lqg_step(model: LinearSystem, kalman_gain, lqr_gain, st: LqgState,
     u = (-_array(lqr_gain, 2)).dot(st.x_hat - _array(z, 1))
     return estimator_step(model, kalman_gain, st, y, u, dt)
 
-
-def closed_loop_steady_state(model: LinearSystem, lqr_gain, z) -> np.ndarray:
-    """Fixed point of x' = Ax + Bu with u = -K_c(x - z) (state feedback).
-
-    The regulator does not track position references exactly: the fixed point
-    solves (A - B K_c) x_ss = -B K_c z, which generally leaves an offset.
-    """
-    Kc = np.atleast_2d(lqr_gain)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    BKc = model.B @ Kc
-    return np.linalg.solve(model.A - BKc, -BKc @ z)

@@ -21,12 +21,6 @@ class SmdParams:
             raise ValueError("spring and damping constants must be nonnegative")
 
 
-def smd_dynamics(p: SmdParams, x, u):
-    """State rate for state x = (position, velocity) and scalar force u."""
-    u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
-    return np.array([x[1], (-p.k * x[0] - p.c * x[1] + u) / p.m])
-
-
 def smd_system(p: SmdParams):
     """(A, B, C) of the spring-mass-damper; only position is observed."""
     A = np.array([[0.0, 1.0], [-p.k / p.m, -p.c / p.m]])

@@ -67,8 +67,8 @@ def sample_decoder(dim: int, n_neurons: int, column_norm: float,
 
 
 # The inputs each mode's step reads, in the column order of its input operator.
-MODE_INPUTS = {"autoencoder": ("signal", "signal_dot"), "autonomous": (),
-               "estimator": ("y", "u"), "controller": ("y", "z", "zdot")}
+MODE_INPUTS = {"autoencoder": ("signal", "signal_dot"), "estimator": ("y", "u"),
+               "controller": ("y", "z", "zdot")}
 
 
 @dataclass
@@ -78,8 +78,10 @@ class ScnWeights:
     With D the stacked decoder ([Dx; Dz] for controllers, Dx otherwise), the
     slow drive is D'(recurrent @ D r + input_op @ inputs), the inputs stacked
     in the order of MODE_INPUTS[mode], and a spike of neuron j adds the fast
-    reset -D' D[:, j] to the voltages. Modes: 'autoencoder', 'autonomous',
-    'estimator' and 'controller' (observation + target, control readout).
+    reset -D' D[:, j] to the voltages. Modes: 'autoencoder', 'estimator' and
+    'controller' (observation + target, control readout). An autonomous
+    network, whose decode follows dx/dt = A x, is the estimator of a plant
+    with B = 0 at zero Kalman gain.
     """
 
     mode: str
@@ -115,18 +117,6 @@ def build_autoencoder(decoder: DecoderMatrix, leak: float) -> ScnWeights:
                       thresholds=_thresholds(decoder.values),
                       recurrent=np.zeros((K, K)),
                       input_op=np.hstack((leak * np.eye(K), np.eye(K))))
-
-
-def build_dynamics_network(A, decoder: DecoderMatrix, leak: float) -> ScnWeights:
-    """Autonomous network whose decode follows dx/dt = A x: slow weights
-    D'(A + leak I)D."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != decoder.dim:
-        raise ValueError("dynamics dimension does not match decoder")
-    return ScnWeights(mode="autonomous", decoder_x=decoder, leak=float(leak),
-                      thresholds=_thresholds(decoder.values),
-                      recurrent=A + leak * np.eye(A.shape[0]),
-                      input_op=np.zeros((A.shape[0], 0)))
 
 
 def build_estimator(system: LinearSystem, kalman_gain, decoder: DecoderMatrix,
@@ -212,8 +202,8 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
                  signal=None, signal_dot=None, noise=None):
     """Advance the network one Euler step; at most one neuron spikes.
 
-    Inputs by mode — estimator: y, u; controller: y, z, zdot; autoencoder:
-    signal, signal_dot; autonomous: none. `noise` is an optional per-step
+    Inputs by mode, every one required — estimator: y, u; controller: y, z,
+    zdot; autoencoder: signal, signal_dot. `noise` is an optional per-step
     additive voltage-noise vector (already scaled by the caller).
 
     Returns (state, spiked neuron index or None); `state` is mutated in place.
@@ -221,17 +211,15 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
     names = MODE_INPUTS.get(weights.mode)
     if names is None:
         raise ValueError(f"unknown network mode {weights.mode!r}")
-    if names:
-        given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
-        inputs = [given[name] for name in names]
-        if any(value is None for value in inputs):
-            raise ValueError(f"{weights.mode} step needs "
-                             f"{', '.join(names[:-1])} and {names[-1]}")
+    given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
+    inputs = [given[name] for name in names]
+    if any(value is None for value in inputs):
+        raise ValueError(f"{weights.mode} step needs "
+                         f"{', '.join(names[:-1])} and {names[-1]}")
     D, v, r = weights.decoders, state.v, state.r
     # ndarray.dot (half the cost of `@` here) and array methods skip np.* dispatch.
     q = weights.recurrent.dot(D.dot(r))
-    if names:
-        q += weights.input_op.dot(np.concatenate(inputs))
+    q += weights.input_op.dot(np.concatenate(inputs))
     v += dt * (q.dot(D) - weights.leak * v)
     if noise is not None:
         v += noise
@@ -315,6 +303,9 @@ def load_weights(path) -> ScnWeights:
         raise ValueError(
             f"{path} is not a version-{WEIGHTS_VERSION} scn-weights file "
             f"(format {found[0]!r}, version {found[1]!r})")
+    if doc.get("mode") not in MODE_INPUTS:
+        raise ValueError(f"{path} holds a network of unknown mode {doc.get('mode')!r} "
+                         f"(known: {', '.join(MODE_INPUTS)})")
     kwargs = {name: _decode_matrix(doc["operators"][name]) for name in _OPERATORS}
     return ScnWeights(
         mode=doc["mode"],

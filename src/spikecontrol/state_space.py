@@ -1,4 +1,4 @@
-"""Linear state-space models, seeded noise streams, and finite-difference Jacobians."""
+"""Linear state-space models and seeded noise streams."""
 
 from dataclasses import dataclass
 from enum import IntEnum
@@ -78,33 +78,3 @@ class LinearSystem:
     def obs_dim(self):
         return self.C.shape[0]
 
-
-def linearize(f, x_eq, u_eq, h: float = 1e-6):
-    """Jacobians (A, B) of f(x, u) at an equilibrium, by central differences.
-
-    Args:
-        f: callable (x, u) -> state rate.
-        x_eq, u_eq: the equilibrium to linearize around; f(x_eq, u_eq) must
-            vanish (norm below 1e-6).
-        h: finite-difference step.
-
-    Raises:
-        ValueError: if (x_eq, u_eq) is not an equilibrium.
-    """
-    x_eq = np.asarray(x_eq, dtype=float)
-    u_eq = np.atleast_1d(np.asarray(u_eq, dtype=float))
-    residual = np.linalg.norm(f(x_eq, u_eq))
-    if residual > 1e-6:
-        raise ValueError(f"not an equilibrium: f(x_eq, u_eq) has norm {residual:.3e}")
-    n, p = x_eq.size, u_eq.size
-    A = np.empty((n, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = h
-        A[:, j] = (f(x_eq + dx, u_eq) - f(x_eq - dx, u_eq)) / (2 * h)
-    B = np.empty((n, p))
-    for j in range(p):
-        du = np.zeros(p)
-        du[j] = h
-        B[:, j] = (f(x_eq, u_eq + du) - f(x_eq, u_eq - du)) / (2 * h)
-    return A, B

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
-                          LinearSystem, ReferenceSchedule, Scenario, SmdParams,
-                          apply_config, build_estimator, build_network,
-                          cartpole_scenario, decode, estimation_scenario,
-                          experiments, kalman_gain, load_config, load_weights,
+                          LinearSystem, LqrCost, ReferenceSchedule, Scenario,
+                          SmdParams, apply_config, build_estimator,
+                          build_network, cartpole_scenario, decode,
+                          estimation_scenario, experiments, kalman_gain,
+                          load_config, load_weights,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
                           run_estimation, run_robustness_sweep,
@@ -142,6 +143,22 @@ def test_scenario_validation():
     # Zero is allowed where the bound is nonnegative, and gamma_z may be unset.
     replace(ctrl, sigma_d=0.0, eta_v=0.0, leak=0.0)
     assert replace(ctrl, gamma_z=None).gamma_z is None
+    # run_estimation runs no controller, reference, pulse or kill schedule.
+    pulse = robustness_scenario(0).pulse
+    for key, value in (("cost", ctrl.cost), ("reference", ctrl.reference),
+                       ("pulse", pulse), ("silencing", [(1.0, (0,))])):
+        with pytest.raises(ValueError, match=f"estimation scenario takes no {key}"):
+            replace(base, **{key: value})
+    # The cost must fit the plant: Q is K x K and R is m x m.
+    for sc, cost, message in (
+            (ctrl, LqrCost(Q=np.eye(3), R=[[1.0]]),
+             "cost Q is 3x3, but the SmdParams plant needs 2x2"),
+            (ctrl, LqrCost(Q=np.eye(2), R=np.eye(2)),
+             "cost R is 2x2, but the SmdParams plant needs 1x1"),
+            (cartpole_scenario(0), ctrl.cost,
+             "cost Q is 2x2, but the CartpoleParams plant needs 4x4")):
+        with pytest.raises(ValueError, match=message):
+            replace(sc, cost=cost)
 
 
 def test_scenario_sorts_silencing():
@@ -630,6 +647,35 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert cli_main(["sweep", "--config", str(bad_grid), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+    # Empty lists, keys the estimation scenario does not use, and a cost that
+    # does not fit the plant all fail before the output directory is made.
+    for command, text, message in (
+            ("sweep", "sweep.noise_grid = ,", "sweep.noise_grid is an empty list"),
+            ("sweep", "sweep.pulse_grid = ,", "sweep.pulse_grid is an empty list"),
+            ("sparsity", "sparsity.lambdas = ,", "sparsity.lambdas is an empty list"),
+            ("control", "reference.times = ,\nreference.positions = ,",
+             "reference.times is an empty list"),
+            ("control", "initial.state = ,", "initial.state is an empty list"),
+            ("control", "cost.q = ,", "cost.q is an empty list"),
+            ("estimate", "cost.q = 1, 1\ncost.r = 1", "takes no cost"),
+            ("export-weights", "scenario = estimation\ncost.q = 1, 1\ncost.r = 1",
+             "takes no cost"),
+            ("estimate", "silencing.enabled = true\nnetwork.n_neurons = 50",
+             "takes no silencing"),
+            ("estimate", "pulse.magnitude = 100", "takes no pulse"),
+            ("estimate", "reference.times = 1\nreference.positions = 2",
+             "takes no reference"),
+            ("control", "cost.q = 1, 1, 1", "cost Q is 3x3, but the SmdParams plant"),
+            ("sweep", "cost.q = 1, 1, 1", "cost Q is 3x3, but the SmdParams plant"),
+            ("cartpole", "cost.q = 1, 1", "cost Q is 2x2, but the CartpoleParams plant"),
+            ("export-weights", "scenario = cartpole\ncost.q = 1, 1",
+             "cost Q is 2x2, but the CartpoleParams plant")):
+        bad = tmp_path / "bad_list.cfg"
+        bad.write_text(text + "\n")
+        out = tmp_path / "not_made"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2, text
+        assert message in capsys.readouterr().err, text
+        assert not out.exists(), text
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from spikecontrol import (LinearSystem, LqgState, SmdParams,
-                          closed_loop_steady_state, estimator_step,
+from spikecontrol import (LinearSystem, LqgState, SmdParams, estimator_step,
                           kalman_gain, lqg_step, lqr_gain, smd_system)
+from reference_models import closed_loop_steady_state
 
 
 def _system(p=None, sigma_d=0.001, sigma_n=0.001):

@@ -5,7 +5,8 @@ import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, PulseSchedule,
                           SmdParams, cartpole_dynamics, cartpole_linearize_up,
-                          linearize, smd_dynamics, smd_system)
+                          smd_system)
+from reference_models import linearize, smd_dynamics
 
 
 def test_smd_dynamics_values():

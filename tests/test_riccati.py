@@ -112,3 +112,47 @@ def test_lqr_cost_validation():
         LqrCost(Q=np.eye(2), R=[[0.0]])
     with pytest.raises(ValueError, match="positive semidefinite"):
         LqrCost(Q=-np.eye(2), R=[[1.0]])
+
+
+# ---------------------------------------------------------------------------
+# cross-check against an independent solver (scipy, tests only)
+
+
+def _random_care_problem(rng):
+    K, m = rng.integers(1, 5), rng.integers(1, 3)
+    G, H = rng.standard_normal((K, K)), rng.standard_normal((m, m))
+    return (rng.standard_normal((K, K)), rng.standard_normal((K, m)),
+            G @ G.T + 1e-3 * np.eye(K), H @ H.T + 0.1 * np.eye(m))
+
+
+def test_care_matches_scipy_on_random_systems():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(20)
+    for case in range(500):
+        A, B, Q, R = _random_care_problem(rng)
+        P = solve_care(A, B, Q, R).P
+        ref = linalg.solve_continuous_are(A, B, Q, R)
+        # Both solvers are backward stable, so the forward error scales with
+        # the conditioning of P; a plain relative bound fails at cond ~1e7.
+        bound = 1e-11 * np.linalg.cond(ref) * np.abs(ref).max()
+        assert np.abs(P - ref).max() <= bound, (case, A, B, Q, R)
+
+
+@pytest.mark.parametrize("name", ["smd_estimation", "smd_control", "cartpole"])
+def test_gains_match_scipy_on_package_plants(name):
+    linalg = pytest.importorskip("scipy.linalg")
+    if name == "cartpole":
+        A, B, C = cartpole_linearize_up(CartpoleParams())
+        Q, R, noise = np.diag([1.0, 1.0, 10.0, 1.0]), np.array([[1e-2]]), 1e-7
+    else:
+        p = SmdParams() if name == "smd_estimation" else SmdParams(m=20.0, k=6.0, c=2.0)
+        A, B, C = smd_system(p)
+        Q, R = np.diag([10.0, 1.0]), np.array([[1e-2]])
+        noise = 0.001 if name == "smd_estimation" else 0.1
+    sd, sn = noise * np.eye(A.shape[0]), noise * np.eye(C.shape[0])
+    kc_ref = np.linalg.solve(R, B.T @ linalg.solve_continuous_are(A, B, Q, R))
+    # K_f = -Sigma C' sigma_n^-1, with Sigma from the dual (filtering) CARE.
+    sigma = linalg.solve_continuous_are(A.T, C.T, sd, sn)
+    kf_ref = -(np.linalg.solve(sn, C @ sigma)).T
+    for got, ref in ((lqr_gain(A, B, Q, R), kc_ref), (kalman_gain(A, C, sd, sn), kf_ref)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -7,15 +7,27 @@ import pytest
 
 from spikecontrol import (DecoderMatrix, LinearSystem, NetworkDivergedError,
                           SmdParams, build_autoencoder, build_controller,
-                          build_dynamics_network, build_estimator, decode,
-                          load_weights, network_step, new_state,
-                          sample_decoder, save_weights, silence, smd_system)
+                          build_estimator, decode, load_weights, network_step,
+                          new_state, sample_decoder, save_weights, silence,
+                          smd_system)
+from spikecontrol.scn import MODE_INPUTS
 
 
 def _smd_linear_system():
     A, B, C = smd_system(SmdParams())
     return LinearSystem(A=A, B=B, C=C, sigma_d=0.001 * np.eye(2),
                         sigma_n=0.001 * np.eye(1))
+
+
+def dynamics_network(A, dec, leak):
+    """The autonomous network whose decode follows dx/dt = A x: the estimator
+    at zero Kalman gain of a plant whose B and C are zero. Step it with
+    y = u = 0."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    K = A.shape[0]
+    sys = LinearSystem(A=A, B=np.zeros((K, 1)), C=np.zeros((1, K)),
+                       sigma_d=np.eye(K), sigma_n=np.eye(1))
+    return build_estimator(sys, np.zeros((K, 1)), dec, leak)
 
 
 def _random_estimator(n_neurons=7, leak=0.1, seed=4):
@@ -101,19 +113,19 @@ def test_autoencoder_weights_closed_form():
 def test_single_neuron_dynamics_network():
     d, a, lam = 0.3, -0.7, 0.4
     dec = DecoderMatrix(values=np.array([[d]]), column_norm=d)
-    w = build_dynamics_network([[a]], dec, leak=lam)
+    w = dynamics_network([[a]], dec, leak=lam)
     slow, fast, inp = _expand(w)
     assert abs(slow[0, 0] - d * d * (a + lam)) < 1e-15
     assert abs(fast[0, 0] - (-d * d)) < 1e-15
     assert abs(w.thresholds[0] - 0.5 * d * d) < 1e-15
-    assert inp.shape == (1, 0)
+    assert not inp.any()  # the input columns (y, u) are exactly zero
 
 
 def test_dynamics_network_pure_leak_has_no_slow_weights():
     # A = -leak * I makes the slow recurrence vanish identically.
     lam = 0.8
     dec = sample_decoder(2, 6, 0.1, seed=2)
-    w = build_dynamics_network(-lam * np.eye(2), dec, leak=lam)
+    w = dynamics_network(-lam * np.eye(2), dec, leak=lam)
     np.testing.assert_array_equal(w.recurrent, np.zeros((2, 2)))
     np.testing.assert_array_equal(_expand(w)[0], np.zeros((6, 6)))
 
@@ -121,7 +133,7 @@ def test_dynamics_network_pure_leak_has_no_slow_weights():
 def test_dynamics_network_dimension_mismatch():
     dec = sample_decoder(2, 6, 0.1, seed=2)
     with pytest.raises(ValueError, match="dimension"):
-        build_dynamics_network(np.eye(3), dec, leak=0.1)
+        dynamics_network(np.eye(3), dec, leak=0.1)
 
 
 def test_estimator_weights_entrywise():
@@ -146,9 +158,10 @@ def test_estimator_zero_gain_reduces_to_dynamics_network():
     w = build_estimator(sys, np.zeros((2, 1)), dec, leak=0.1)
     slow, _, inp = _expand(w)
     np.testing.assert_array_equal(inp[:, :1], np.zeros((8, 1)))
-    auto = build_dynamics_network(sys.A, dec, leak=0.1)
-    np.testing.assert_array_equal(w.recurrent, auto.recurrent)
-    np.testing.assert_array_equal(slow, _expand(auto)[0])
+    # The dense slow weights of the autonomous network, D'(A + leak I)D.
+    ApL = sys.A + 0.1 * np.eye(2)
+    np.testing.assert_array_equal(w.recurrent, ApL)
+    np.testing.assert_array_equal(slow, dec.values.T @ ApL @ dec.values)
 
 
 def test_estimator_shape_checks():
@@ -435,7 +448,7 @@ def test_autonomous_network_follows_embedded_dynamics():
     A, _, _ = smd_system(SmdParams())
     dec = sample_decoder(2, 20, 0.1, seed=0)
     lam, dt = 0.1, 1e-3
-    w = build_dynamics_network(A, dec, leak=lam)
+    w = dynamics_network(A, dec, leak=lam)
     st = new_state(w)
     x = np.array([1.0, 0.0])
     st.r[:] = np.linalg.pinv(dec.values) @ x  # matched initial decode
@@ -443,7 +456,7 @@ def test_autonomous_network_follows_embedded_dynamics():
     n = 10_000
     for _ in range(n):
         x = x + dt * (A @ x)
-        st, _ = network_step(w, st, dt)
+        st, _ = network_step(w, st, dt, y=np.zeros(1), u=np.zeros(1))
         sq += np.sum((x - decode(w, st).x_hat) ** 2)
     assert np.sqrt(sq / n) < 5 * 0.1
 
@@ -491,9 +504,7 @@ def _inputs(mode, rng):
     """One step's random inputs for a network of the given mode (state
     dimension 2, one observation, one control input)."""
     shapes = {"y": 1, "u": 1, "z": 2, "zdot": 2, "signal": 2, "signal_dot": 2}
-    names = {"autoencoder": ("signal", "signal_dot"), "autonomous": (),
-             "estimator": ("y", "u"), "controller": ("y", "z", "zdot")}[mode]
-    return {name: rng.standard_normal(shapes[name]) for name in names}
+    return {name: rng.standard_normal(shapes[name]) for name in MODE_INPUTS[mode]}
 
 
 def test_weight_roundtrip_all_modes_replays(tmp_path):
@@ -502,10 +513,10 @@ def test_weight_roundtrip_all_modes_replays(tmp_path):
     dx = sample_decoder(2, 15, 0.1, seed=1)
     dz = sample_decoder(2, 15, 0.1, seed=2)
     built = (build_autoencoder(dx, leak=0.5),
-             build_dynamics_network(sys.A, dx, leak=0.5),
              build_estimator(sys, rng.standard_normal((2, 1)), dx, leak=0.5),
              build_controller(sys, rng.standard_normal((2, 1)),
                               rng.standard_normal((1, 2)), dx, dz, leak=0.5))
+    assert [w.mode for w in built] == list(MODE_INPUTS)
     for w in built:
         path = tmp_path / f"{w.mode}.json"
         save_weights(w, path)
@@ -517,7 +528,7 @@ def test_weight_roundtrip_all_modes_replays(tmp_path):
         runs = []
         for net in (w, loaded):
             st = new_state(net)
-            st.r[:] = 3.0  # the autonomous network needs a nonzero start
+            st.r[:] = 3.0
             step_rng = np.random.default_rng(9)
             for _ in range(300):
                 network_step(net, st, 1e-2, noise=1e-3 * step_rng.standard_normal(15),
@@ -538,4 +549,16 @@ def test_load_rejects_version_1(tmp_path):
     path = tmp_path / "old_weights.json"
     path.write_text('{"format": "scn-weights", "version": 1, "matrices": {}}\n')
     with pytest.raises(ValueError, match="version 1"):
+        load_weights(path)
+
+
+def test_load_rejects_unknown_mode(tmp_path):
+    # No builder makes an 'autonomous' network: that is an estimator at zero
+    # gain. A file naming the mode fails on load, not at its first step.
+    _, _, _, w = _random_estimator()
+    path = tmp_path / "weights.json"
+    save_weights(w, path)
+    path.write_text(path.read_text().replace('"mode": "estimator"',
+                                             '"mode": "autonomous"'))
+    with pytest.raises(ValueError, match="unknown mode 'autonomous'"):
         load_weights(path)

@@ -1,14 +1,14 @@
 """Noise streams, the plant step and observation of the closed-loop kernel,
-and finite-difference Jacobians."""
+and the finite-difference Jacobians the plant tests use as a reference."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikecontrol import (NoiseSource, SmdParams, StreamLabel, linearize,
-                          make_rng, robustness_scenario, run_control,
-                          smd_system)
+from spikecontrol import (NoiseSource, SmdParams, StreamLabel, make_rng,
+                          robustness_scenario, run_control, smd_system)
+from reference_models import linearize
 
 
 def _kernel_run(**changes):

@@ -11,8 +11,10 @@ side by side, with BLAS pinned to one thread):
 - the four benchmark workloads of `perfbench/workloads.py`, at each seed,
   through their runners (`run_control`, `run_robustness_sweep`,
   `run_cartpole`), and a 10 s `run_estimation`;
-- the same workloads through the CLI, as the benchmark runs them, and a 10 s
-  `estimate`, each writing its output directory;
+- the same workloads through the CLI, as the benchmark runs them, a 10 s
+  `estimate`, a 1 s `sparsity`, and `export-weights` for each of its five
+  `scenario` values, each writing its output directory (so all six
+  subcommands, and every network mode `weights.json` can hold, are covered);
 - unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
   length (A3 estimation, A4 control seeds 0-9, A5 silencing, A6 cartpole,
   A7's 5 x 5 sweep, A8's three leaks) and the equilibrium-quiet control run.
@@ -88,12 +90,16 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             (cli_dir / f"{workload.name}-s{seed}.exit").write_text(f"{fn(*args)}\n")
         return thunk
 
-    def cli_estimate(seed):
+    def cli_run(name, seed, argv, config=None):
         def thunk():
-            out = cli_dir / f"estimate-s{seed}"
-            code = cli.main(["estimate", "--duration", "10", "--seed", str(seed),
-                             "--out", str(out)])
-            (cli_dir / f"estimate-s{seed}.exit").write_text(f"{code}\n")
+            out = cli_dir / f"{name}-s{seed}"
+            extra = []
+            if config is not None:
+                path = cli_dir / f"{name}-s{seed}.cfg"
+                path.write_text(config)
+                extra = ["--config", str(path)]
+            code = cli.main(argv + extra + ["--seed", str(seed), "--out", str(out)])
+            (cli_dir / f"{name}-s{seed}.exit").write_text(f"{code}\n")
         return thunk
 
     cases = []
@@ -103,7 +109,14 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             cases.append((f"cli-{workload.name}-s{seed}", cli_entry(workload, seed)))
         cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
             replace(ex.estimation_scenario(s), duration=10.0))))
-        cases.append((f"cli-estimate-s{seed}", cli_estimate(seed)))
+        cases.append((f"cli-estimate-s{seed}",
+                      cli_run("estimate", seed, ["estimate", "--duration", "10"])))
+        cases.append((f"cli-sparsity-s{seed}",
+                      cli_run("sparsity", seed, ["sparsity", "--duration", "1"])))
+        for scenario in cli._EXPORT_SCENARIOS:
+            cases.append((f"cli-export-{scenario}-s{seed}",
+                          cli_run(f"export-{scenario}", seed, ["export-weights"],
+                                  f"scenario = {scenario}\n")))
     if acceptance:
         cases.append(("A3-estimation",
                       lambda: ex.run_estimation(ex.estimation_scenario(0))))
