@@ -34,6 +34,10 @@ _BUILDERS = {
     "sparsity": lambda seed: ex.sparsity_scenario(seed),
 }
 
+# Config keys read by one subcommand, beside the scenario's own fields.
+_LIST_KEYS = {"sweep.noise_grid": "sweep", "sweep.pulse_grid": "sweep",
+              "sparsity.lambdas": "sparsity"}
+
 _EXPORT_SCENARIOS = {
     "estimation": ex.estimation_scenario,
     "smd_control": ex.smd_control_scenario,
@@ -105,9 +109,14 @@ def run(argv=None) -> int:
     command = args.command
     cfg = load_config(args.config) if args.config else {}
     # List keys that are not scenario fields; a single value is one entry.
-    noise, pulse, lambdas = (_want_tuple(key, cfg.pop(key)) if key in cfg else None
-                             for key in ("sweep.noise_grid", "sweep.pulse_grid",
-                                         "sparsity.lambdas"))
+    lists = {}
+    for key, owner in _LIST_KEYS.items():
+        if key in cfg:
+            if owner != command:
+                raise ConfigError(f"{key} is used only by the {owner} subcommand, "
+                                  f"not by {command}")
+            lists[key] = _want_tuple(key, cfg.pop(key))
+    noise, pulse, lambdas = (lists.get(key) for key in _LIST_KEYS)
     for value in noise or ():  # each is a cell's sigma_n, and obeys its rule
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"sweep.noise_grid entry {value:g} must be finite "

@@ -5,8 +5,9 @@ labelled streams, the spiking network and the ideal LQG loop consume the same
 disturbance/sensor realizations, and all outputs (trajectory, raster, summary)
 replay bit-for-bit under the same seed.
 
-`run_control`, `run_cartpole` and every cell of `run_robustness_sweep` run
-through one closed-loop kernel, `_closed_loop`; `run_estimation` is the
+`run_control` and `run_cartpole` run through one closed-loop kernel,
+`_closed_loop`, and `run_robustness_sweep` steps its cells through
+`_lockstep`, the same loop on a stack of cells; `run_estimation` is the
 open-loop counterpart. Trajectory row convention: row i carries time
 t_i = i*dt, the plant state *before* the step, the observation consumed during
 the step, and the decodes (x_hat, z_hat, u) *after* the step — i.e. the
@@ -111,7 +112,7 @@ class Scenario:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario name {self.name!r}")
         if self.name == "estimation":  # run_estimation runs no controller
-            for key in ("cost", "reference", "pulse", "silencing"):
+            for key in ("gamma_z", "cost", "reference", "pulse", "silencing"):
                 if getattr(self, key) is not None:
                     raise ValueError(f"the estimation scenario takes no {key}")
         positive = ["dt", "duration", "sigma_n", "gamma_x"]
@@ -470,6 +471,95 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     return traj, x - x_eq, xo - x_eq
 
 
+def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
+    """`_closed_loop` of several sweep cells on the linear plant, stepped in
+    lockstep, recording only the plant positions the sweep's metrics read.
+
+    `cells` holds each cell's (weights, K_f, sensor-noise scale, pulse
+    magnitude), the weights sharing one pair of decoders; `noise` the shared
+    (disturbance, unit sensor, voltage) rows, and `reference` the (z, zdot,
+    pulse on) rows. Each cell still gets its own `network_step` and
+    `lqg_step` call per step. Its SCN and ideal plants are rows 2j and 2j + 1
+    of one stacked array, and the observation, decode, readout, pulse, Euler
+    step and record are each one operation on all rows: stacked `np.matmul`
+    repeats each row's `ndarray.dot` bit for bit, where a 2-D product or
+    einsum would not. A cell whose network diverges leaves the batch.
+
+    Returns, per cell, the NetworkDivergedError that ended it, or (positions,
+    final, spikes): the (n, 2) SCN and ideal plant positions after each step,
+    the (2, K) final plant states and the spike log.
+    """
+    n, dt = sc.n_steps, sc.dt
+    w, e_unit, eta = noise
+    z, zdot, pulse_on = reference
+    A, B, C = system.A, system.B, system.C
+    dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
+    time = np.arange(n) * dt
+    kills = list(sc.silencing or [])
+    ki = 0
+    out = [None] * len(cells)
+    live = [(k, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
+            for k, (weights, kf, _, _) in enumerate(cells)]
+    # States, inputs and noise rows are column vectors on a leading row axis,
+    # so that no product needs a reshape per step.
+    w3, e3 = w[:, :, None], e_unit[:, :, None]
+    X = np.repeat(sc.x0[None, :, None], 2 * len(cells), axis=0)
+    scale = np.repeat([[[s]] for _, _, s, _ in cells], 2, axis=0)
+    pulse = np.repeat([[[m]] for _, _, _, m in cells], 2, axis=0)
+    U = np.empty((len(X), system.input_dim, 1))
+    positions = np.empty((n, len(X)))
+    rec = positions
+
+    def stack_rates():
+        R = np.array([st.r for _, _, st, _, _ in live])  # row j: live cell j's r
+        for (_, _, st, _, _), r in zip(live, R):
+            st.r = r
+        return R[:, :, None]
+
+    R3 = stack_rates()
+    for i in range(n):
+        t = time[i]
+        while ki < len(kills) and t >= kills[ki][0] - 1e-9:
+            for _, _, st, _, _ in live:
+                silence(st, kills[ki][1], t)
+            ki += 1
+        Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
+        zi, zdi, etai = z[i], zdot[i], eta[i]
+        gone = []
+        for j, (k, weights, st, kf, est) in enumerate(live):
+            try:
+                network_step(weights, st, dt, y=Y[2 * j], z=zi, zdot=zdi, noise=etai)
+            except NetworkDivergedError as err:
+                out[k] = err
+                gone.append(j)
+                continue
+            lqg_step(system, kf, kc, est, Y[2 * j + 1], zi, dt)
+            U[2 * j + 1, :, 0] = est.u
+        if gone:
+            keep = [j for j in range(len(live)) if j not in gone]
+            if not keep:
+                return out
+            live = [live[j] for j in keep]
+            kept = [r for j in keep for r in (2 * j, 2 * j + 1)]
+            for col, r in enumerate(kept):  # r >= col: moves records in place
+                positions[:i, col] = positions[:i, r]
+            rec = positions[:, :len(kept)]
+            X, U, scale, pulse = X[kept], U[kept], scale[kept], pulse[kept]
+            R3 = stack_rates()
+        U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
+        up = U + (pulse if pulse_on[i] else 0.0)
+        X = X + dt * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
+        rec[i] = X[:, 0, 0]
+    for j, (k, _, st, _, _) in enumerate(live):
+        final = X[2 * j:2 * j + 2, :, 0]
+        if np.isfinite(final).all():
+            out[k] = (rec[:, 2 * j:2 * j + 2], final, list(st.spike_log))
+        else:
+            out[k] = NetworkDivergedError(
+                f"closed loop diverged: plant state not finite after {n} steps")
+    return out
+
+
 def run_control(sc: Scenario) -> Trajectory:
     """Close the loop on the linear SMD plant with the spiking controller.
 
@@ -522,9 +612,13 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     position error |x1 - z1| after each step (RMSE is recorded alongside). A
     cell whose loop diverges or whose errors are not finite is recorded as
     NaN and listed in failed_cells as (noise index, pulse index, message).
+    The cells run through `_lockstep` in batches of at most N // 2 (at least
+    one), so a batch's position records fit in the n x N voltage-noise rows.
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
+    if not isinstance(sc.plant, SmdParams):
+        raise ValueError("the sweep integrates the linear plant")
     noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
                             dtype=float)
     pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
@@ -557,20 +651,26 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     scn_rmse = np.full(shape, np.nan)
     oracle_rmse = np.full(shape, np.nan)
     failed = []
-    pulses = [replace(sc.pulse, magnitude=float(m)).profile(time) for m in pulse_grid]
-    for a, sn in enumerate(noise_grid):
+    nets = []
+    for sn in noise_grid:
         kf = kalman_gain(system.A, system.C, system.sigma_d,
                          sn * np.eye(system.obs_dim))
-        net = (system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak))
-        noise = (w, np.sqrt(sn) * e_unit, eta)
-        for b, pulse in enumerate(pulses):
-            try:
-                traj, x_end, xo_end = _closed_loop(sc, net, noise, (z, zdot, pulse))
-            except NetworkDivergedError as err:
-                failed.append((a, b, str(err)))
+        nets.append((build_controller(system, kf, kc, dec_x, dec_z, sc.leak), kf))
+    scales = np.sqrt(noise_grid)
+    # A cell's pulse row is its magnitude inside the pulse window, else 0.
+    pulse_on = replace(sc.pulse, magnitude=1.0).profile(time) != 0.0
+    grid = [(a, b) for a in range(noise_grid.size) for b in range(pulse_grid.size)]
+    size = max(1, sc.n_neurons // 2)  # two position records per cell
+    for start in range(0, len(grid), size):
+        batch = grid[start:start + size]
+        cells = [(*nets[a], scales[a], pulse_grid[b]) for a, b in batch]
+        runs = _lockstep(sc, system, kc, cells, (w, e_unit, eta), (z, zdot, pulse_on))
+        for (a, b), run in zip(batch, runs):
+            if isinstance(run, NetworkDivergedError):
+                failed.append((a, b, str(run)))
                 continue
-            err_s = np.abs(np.concatenate((traj.x[1:, 0], x_end[:1])) - z[:, 0])
-            err_o = np.abs(np.concatenate((traj.oracle_x[1:, 0], xo_end[:1])) - z[:, 0])
+            err_s = np.abs(run[0][:, 0] - z[:, 0])
+            err_o = np.abs(run[0][:, 1] - z[:, 0])
             with np.errstate(over="ignore"):  # an overflow fails the cell below
                 metrics = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
                            np.sqrt(np.mean(err_o ** 2)))

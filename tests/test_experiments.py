@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
-                          LinearSystem, LqrCost, ReferenceSchedule, Scenario,
-                          SmdParams, apply_config, build_estimator,
+                          LinearSystem, LqrCost, NetworkDivergedError,
+                          ReferenceSchedule, Scenario, SmdParams, StreamLabel,
+                          apply_config, build_controller, build_estimator,
                           build_network, cartpole_scenario, decode,
                           estimation_scenario, experiments, kalman_gain,
-                          load_config, load_weights,
+                          load_config, load_weights, lqr_gain, make_rng,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
                           run_estimation, run_robustness_sweep,
@@ -143,10 +144,12 @@ def test_scenario_validation():
     # Zero is allowed where the bound is nonnegative, and gamma_z may be unset.
     replace(ctrl, sigma_d=0.0, eta_v=0.0, leak=0.0)
     assert replace(ctrl, gamma_z=None).gamma_z is None
-    # run_estimation runs no controller, reference, pulse or kill schedule.
+    # run_estimation runs no controller, target decoder, reference, pulse or
+    # kill schedule.
     pulse = robustness_scenario(0).pulse
-    for key, value in (("cost", ctrl.cost), ("reference", ctrl.reference),
-                       ("pulse", pulse), ("silencing", [(1.0, (0,))])):
+    for key, value in (("gamma_z", 0.5), ("cost", ctrl.cost),
+                       ("reference", ctrl.reference), ("pulse", pulse),
+                       ("silencing", [(1.0, (0,))])):
         with pytest.raises(ValueError, match=f"estimation scenario takes no {key}"):
             replace(base, **{key: value})
     # The cost must fit the plant: Q is K x K and R is m x m.
@@ -450,30 +453,98 @@ def test_small_sweep_shapes():
     assert res.meta["noise_grid"] == [0.001, 0.01]
 
 
+def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):
+    """(sweep result, each cell's `_lockstep` outcome in grid order, number of
+    lockstep batches) of one sweep."""
+    cells, batches = [], []
+    lockstep = experiments._lockstep
+
+    def recording(*args):
+        runs = lockstep(*args)
+        cells.extend(runs)
+        batches.append(len(runs))
+        return runs
+
+    monkeypatch.setattr(experiments, "_lockstep", recording)
+    res = run_robustness_sweep(sc, noise_grid=noise_grid, pulse_grid=pulse_grid)
+    monkeypatch.undo()
+    return res, cells, len(batches)
+
+
 def test_sweep_cells_follow_run_control(monkeypatch):
     # The sweep scales unit draws made once per sweep; each cell must see the
     # rows `_noise_rows` would draw for that cell's scenario, up to rounding.
-    cells = []
-
-    def recording(*args):
-        result = closed_loop(*args)
-        cells.append(result[0])
-        return result
-
-    closed_loop = experiments._closed_loop
-    monkeypatch.setattr(experiments, "_closed_loop", recording)
     sc = replace(robustness_scenario(4), duration=0.4,
                  pulse=replace(robustness_scenario(4).pulse, onset=0.1))
     sn, pulses = 0.01, (300.0, 900.0)
-    run_robustness_sweep(sc, noise_grid=[sn], pulse_grid=pulses)
-    monkeypatch.undo()
+    _, cells, _ = _lockstep_cells(monkeypatch, sc, [sn], pulses)
     assert len(cells) == 2
-    for cell, m in zip(cells, pulses):
+    for (positions, _, spikes), m in zip(cells, pulses):
         ref = run_control(replace(sc, sigma_n=sn, pulse=replace(sc.pulse, magnitude=m)))
-        assert cell.spikes == ref.spikes and cell.spike_count > 0
-        for name in ("x", "oracle_x"):
-            got, want = getattr(cell, name), getattr(ref, name)
+        assert spikes == ref.spikes and len(spikes) > 0
+        # Column 0 holds x after each step, column 1 oracle_x.
+        for col, name in enumerate(("x", "oracle_x")):
+            got, want = positions[:-1, col], getattr(ref, name)[1:, 0]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", [2, 9])
+def test_lockstep_cells_match_closed_loop_bitwise(monkeypatch, seed):
+    # Each lockstep cell against `_closed_loop` run alone on that cell's rows,
+    # built as the sweep built them before cells ran in lockstep. Six neurons
+    # make batches of three cells; the 1e-7 sensor noise row diverges
+    # mid-run under the huge pulses, so rows leave their batch at different
+    # steps; neurons are silenced on the way.
+    base = robustness_scenario(seed)
+    sc = replace(base, dt=1e-3, duration=1.0, n_neurons=6,
+                 pulse=replace(base.pulse, onset=0.1, duration=0.8),
+                 silencing=[(0.2, (0, 1)), (0.5, (2,))])
+    noise_grid, pulse_grid = [1e-7, 1e-5, 1e-2], [300.0, 1e308, 900.0, -1.7e308]
+    res, cells, batches = _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid)
+    assert batches == 4 and len(cells) == 12
+
+    system = experiments._linear_system(sc)
+    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
+    dec_x, dec_z = experiments._decoders(sc, 2, need_z=True)
+    n, dt = sc.n_steps, sc.dt
+    z, zdot = sc.reference.sample_grid(n, dt)
+    unit = {label: make_rng(seed, label).standard_normal((n, dim)) for label, dim in (
+        (StreamLabel.DISTURBANCE, 2), (StreamLabel.SENSOR, 1), (StreamLabel.VOLTAGE, 6))}
+    w = np.sqrt(dt * sc.sigma_d) * unit[StreamLabel.DISTURBANCE]
+    e_unit = unit[StreamLabel.SENSOR]
+    eta = np.sqrt(dt) * sc.eta_v * unit[StreamLabel.VOLTAGE]
+    messages = []
+    cell = iter(cells)
+    for sn in noise_grid:
+        kf = kalman_gain(system.A, system.C, system.sigma_d, sn * np.eye(1))
+        net = (system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak))
+        for m in pulse_grid:
+            pulse = replace(sc.pulse, magnitude=m).profile(np.arange(n) * dt)
+            run = next(cell)
+            try:
+                traj, x_end, xo_end = experiments._closed_loop(
+                    sc, net, (w, np.sqrt(sn) * e_unit, eta), (z, zdot, pulse))
+            except NetworkDivergedError as err:
+                assert isinstance(run, NetworkDivergedError) and str(run) == str(err)
+                messages.append(str(err))
+                continue
+            positions, final, spikes = run
+            want = np.column_stack((np.append(traj.x[1:, 0], x_end[0]),
+                                    np.append(traj.oracle_x[1:, 0], xo_end[0])))
+            assert _bitwise_equal(positions, want)
+            assert _bitwise_equal(final, [x_end, xo_end])
+            assert spikes == traj.spikes and len(spikes) > 0
+    assert any(m.startswith("network diverged at step") for m in messages)
+    assert any(m.startswith("closed loop diverged") for m in messages)
+    assert [msg for _, _, msg in res.failed_cells if "overflow" not in msg] == messages
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +736,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("estimate", "pulse.magnitude = 100", "takes no pulse"),
             ("estimate", "reference.times = 1\nreference.positions = 2",
              "takes no reference"),
+            ("estimate", "network.gamma_z = 0.5", "takes no gamma_z"),
+            ("export-weights", "scenario = estimation\nnetwork.gamma_z = 0.5",
+             "takes no gamma_z"),
+            ("control", "sweep.noise_grid = 0.01",
+             "sweep.noise_grid is used only by the sweep subcommand, not by control"),
+            ("control", "sparsity.lambdas = 5",
+             "sparsity.lambdas is used only by the sparsity subcommand"),
+            ("estimate", "sweep.pulse_grid = 100, 200", "sweep.pulse_grid is used only"),
+            ("cartpole", "sweep.noise_grid = 0.01", "sweep.noise_grid is used only"),
+            ("export-weights", "sparsity.lambdas = 1", "sparsity.lambdas is used only"),
+            ("sparsity", "sweep.noise_grid = 0.01", "sweep.noise_grid is used only"),
+            ("sweep", "sparsity.lambdas = 0, 1", "sparsity.lambdas is used only"),
             ("control", "cost.q = 1, 1, 1", "cost Q is 3x3, but the SmdParams plant"),
             ("sweep", "cost.q = 1, 1, 1", "cost Q is 3x3, but the SmdParams plant"),
             ("cartpole", "cost.q = 1, 1", "cost Q is 2x2, but the CartpoleParams plant"),

@@ -11,6 +11,10 @@ side by side, with BLAS pinned to one thread):
 - the four benchmark workloads of `perfbench/workloads.py`, at each seed,
   through their runners (`run_control`, `run_robustness_sweep`,
   `run_cartpole`), and a 10 s `run_estimation`;
+- a 3 x 3 sweep with a silencing schedule and a 1e308 pulse column, whose
+  1e-7 sensor-noise cell diverges mid-run, through the runner (six neurons,
+  so the cells run in three batches) and through the CLI (the default
+  silencing at 10 s);
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
   `estimate`, a 1 s `sparsity`, and `export-weights` for each of its five
   `scenario` values, each writing its output directory (so all six
@@ -41,6 +45,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# The sweep case's axes: the 1e-7 row diverges under the 1e308 pulse.
+SWEEP_NOISE = (1e-7, 1e-5, 0.01)
+SWEEP_PULSE = (300.0, 1e308, 900.0)
 
 
 def _source_dir(path: Path) -> Path:
@@ -107,6 +114,18 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
         for workload in WORKLOADS.values():
             cases.append((f"{workload.name}-s{seed}", runner(workload, seed)))
             cases.append((f"cli-{workload.name}-s{seed}", cli_entry(workload, seed)))
+        cases.append((f"sweep-silencing-s{seed}", lambda s=seed: ex.run_robustness_sweep(
+            replace(ex.robustness_scenario(s), dt=1e-3, duration=1.0, n_neurons=6,
+                    pulse=replace(ex.robustness_scenario(s).pulse, onset=0.1,
+                                  duration=0.8),
+                    silencing=[(0.2, (0, 1)), (0.5, (2,))]),
+            SWEEP_NOISE, SWEEP_PULSE)))
+        cases.append((f"cli-sweep-silencing-s{seed}", cli_run(
+            "sweep-silencing", seed, ["sweep"],
+            f"sweep.noise_grid = {', '.join(map(repr, SWEEP_NOISE))}\n"
+            f"sweep.pulse_grid = {', '.join(map(repr, SWEEP_PULSE))}\n"
+            "silencing.enabled = true\nintegration.dt = 0.001\n"
+            "integration.duration = 11\npulse.onset = 9.8\npulse.duration = 0.8\n")))
         cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
             replace(ex.estimation_scenario(s), duration=10.0))))
         cases.append((f"cli-estimate-s{seed}",
