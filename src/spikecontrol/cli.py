@@ -72,17 +72,12 @@ def _build_scenario(command: str, args, cfg: dict):
             raise ConfigError(
                 f"scenario must be one of {sorted(_EXPORT_SCENARIOS)}, got {which!r}")
         builder = _EXPORT_SCENARIOS[which]
-    seed = args.seed
-    if seed is None:
-        seed = cfg.pop("seed", 0)
-    else:
-        cfg.pop("seed", None)
     # Flags are applied as the config keys they stand for, so a bad flag
     # value is a usage error (exit 2) exactly like a bad config value.
-    flags = {"integration.dt": args.dt, "integration.duration": args.duration,
-             "network.n_neurons": args.neurons}
+    flags = {"seed": args.seed, "integration.dt": args.dt,
+             "integration.duration": args.duration, "network.n_neurons": args.neurons}
     cfg.update({key: value for key, value in flags.items() if value is not None})
-    return apply_config(builder(int(seed)), cfg)
+    return apply_config(builder(0), cfg)
 
 
 def _stride(sc) -> int:

@@ -124,6 +124,11 @@ class Scenario:
             if not (math.isfinite(value) and sign_ok):
                 kind = "positive" if key in positive else "nonnegative"
                 raise ValueError(f"{key} = {value:g} must be finite and {kind}")
+        if self.n_steps < 1:
+            raise ValueError(f"duration = {self.duration:g} is under half of dt = "
+                             f"{self.dt:g}, so the run has no steps")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed = {self.master_seed} must be nonnegative")
         if self.n_neurons < 1:
             raise ValueError("need at least one neuron")
         if self.dt * self.leak >= 1:
@@ -378,7 +383,7 @@ def run_estimation(sc: Scenario) -> Trajectory:
     x = sc.x0.copy()
     for i in range(n):
         y = C.dot(x) + e[i]
-        network_step(weights, st, dt, y=y, u=u0, noise=next(vrows))
+        network_step(weights, st, dt, np.concatenate((y, u0)), next(vrows))
         estimator_step(system, kf, est, y, u0, dt)
         X[i] = x
         Y[i] = y
@@ -425,6 +430,7 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     w, e, eta = noise
     eta = iter(eta)
     z, zdot, pulse = reference
+    ref = np.hstack((z, zdot))  # the input vector's part after y
     rate, x_eq, guard = _plant_model(sc, system)
     n, dt = sc.n_steps, sc.dt
     time = np.arange(n) * dt
@@ -448,7 +454,7 @@ def _closed_loop(sc: Scenario, net, noise, reference):
             ki += 1
         dev = x - x_eq
         y = C.dot(dev) + e[i]
-        network_step(weights, st, dt, y=y, z=z[i], zdot=zdot[i], noise=next(eta))
+        network_step(weights, st, dt, np.concatenate((y, ref[i])), next(eta))
         xh = dxv.dot(st.r)
         zh = dzv.dot(st.r)
         u = -kc.dot(xh - zh)
@@ -483,7 +489,9 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     of one stacked array, and the observation, decode, readout, pulse, Euler
     step and record are each one operation on all rows: stacked `np.matmul`
     repeats each row's `ndarray.dot` bit for bit, where a 2-D product or
-    einsum would not. A cell whose network diverges leaves the batch.
+    einsum would not. A cell whose network diverges gets no more network or
+    oracle steps; its rows stay in place and keep stepping, unread, so the
+    other rows are untouched. The batch ends when no cell is left.
 
     Returns, per cell, the NetworkDivergedError that ended it, or (positions,
     final, spikes): the (n, 2) SCN and ideal plant positions after each step,
@@ -492,14 +500,15 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     n, dt = sc.n_steps, sc.dt
     w, e_unit, eta = noise
     z, zdot, pulse_on = reference
+    ref = np.hstack((z, zdot))  # the input vector's part after y
     A, B, C = system.A, system.B, system.C
     dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
     time = np.arange(n) * dt
     kills = list(sc.silencing or [])
     ki = 0
     out = [None] * len(cells)
-    live = [(k, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
-            for k, (weights, kf, _, _) in enumerate(cells)]
+    live = [(j, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
+            for j, (weights, kf, _, _) in enumerate(cells)]
     # States, inputs and noise rows are column vectors on a leading row axis,
     # so that no product needs a reshape per step.
     w3, e3 = w[:, :, None], e_unit[:, :, None]
@@ -508,15 +517,10 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     pulse = np.repeat([[[m]] for _, _, _, m in cells], 2, axis=0)
     U = np.empty((len(X), system.input_dim, 1))
     positions = np.empty((n, len(X)))
-    rec = positions
-
-    def stack_rates():
-        R = np.array([st.r for _, _, st, _, _ in live])  # row j: live cell j's r
-        for (_, _, st, _, _), r in zip(live, R):
-            st.r = r
-        return R[:, :, None]
-
-    R3 = stack_rates()
+    R = np.array([st.r for _, _, st, _, _ in live])  # row j: cell j's r
+    for (_, _, st, _, _), r in zip(live, R):
+        st.r = r
+    R3 = R[:, :, None]
     for i in range(n):
         t = time[i]
         while ki < len(kills) and t >= kills[ki][0] - 1e-9:
@@ -524,38 +528,29 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
                 silence(st, kills[ki][1], t)
             ki += 1
         Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
-        zi, zdi, etai = z[i], zdot[i], eta[i]
-        gone = []
-        for j, (k, weights, st, kf, est) in enumerate(live):
+        zi, refi, etai = z[i], ref[i], eta[i]
+        for cell in tuple(live):
+            j, weights, st, kf, est = cell
             try:
-                network_step(weights, st, dt, y=Y[2 * j], z=zi, zdot=zdi, noise=etai)
+                network_step(weights, st, dt, np.concatenate((Y[2 * j], refi)), etai)
             except NetworkDivergedError as err:
-                out[k] = err
-                gone.append(j)
+                out[j] = err
+                live.remove(cell)
                 continue
             lqg_step(system, kf, kc, est, Y[2 * j + 1], zi, dt)
             U[2 * j + 1, :, 0] = est.u
-        if gone:
-            keep = [j for j in range(len(live)) if j not in gone]
-            if not keep:
-                return out
-            live = [live[j] for j in keep]
-            kept = [r for j in keep for r in (2 * j, 2 * j + 1)]
-            for col, r in enumerate(kept):  # r >= col: moves records in place
-                positions[:i, col] = positions[:i, r]
-            rec = positions[:, :len(kept)]
-            X, U, scale, pulse = X[kept], U[kept], scale[kept], pulse[kept]
-            R3 = stack_rates()
+        if not live:
+            return out
         U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
         up = U + (pulse if pulse_on[i] else 0.0)
         X = X + dt * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
-        rec[i] = X[:, 0, 0]
-    for j, (k, _, st, _, _) in enumerate(live):
+        positions[i] = X[:, 0, 0]
+    for j, _, st, _, _ in live:
         final = X[2 * j:2 * j + 2, :, 0]
         if np.isfinite(final).all():
-            out[k] = (rec[:, 2 * j:2 * j + 2], final, list(st.spike_log))
+            out[j] = (positions[:, 2 * j:2 * j + 2], final, list(st.spike_log))
         else:
-            out[k] = NetworkDivergedError(
+            out[j] = NetworkDivergedError(
                 f"closed loop diverged: plant state not finite after {n} steps")
     return out
 
@@ -664,7 +659,9 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     for start in range(0, len(grid), size):
         batch = grid[start:start + size]
         cells = [(*nets[a], scales[a], pulse_grid[b]) for a, b in batch]
-        runs = _lockstep(sc, system, kc, cells, (w, e_unit, eta), (z, zdot, pulse_on))
+        # A diverging cell's rows overflow; the cell is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = _lockstep(sc, system, kc, cells, (w, e_unit, eta), (z, zdot, pulse_on))
         for (a, b), run in zip(batch, runs):
             if isinstance(run, NetworkDivergedError):
                 failed.append((a, b, str(run)))

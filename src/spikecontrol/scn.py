@@ -66,7 +66,8 @@ def sample_decoder(dim: int, n_neurons: int, column_norm: float,
     return DecoderMatrix(values=values, column_norm=float(column_norm))
 
 
-# The inputs each mode's step reads, in the column order of its input operator.
+# The inputs each mode's step reads, in the column order of its input operator;
+# weights.json records them.
 MODE_INPUTS = {"autoencoder": ("signal", "signal_dot"), "estimator": ("y", "u"),
                "controller": ("y", "z", "zdot")}
 
@@ -197,29 +198,22 @@ def silence(state: ScnState, neuron_ids, t: float = None) -> ScnState:
     return state
 
 
-def network_step(weights: ScnWeights, state: ScnState, dt: float, *,
-                 y=None, u=None, z=None, zdot=None,
-                 signal=None, signal_dot=None, noise=None):
+def network_step(weights: ScnWeights, state: ScnState, dt: float, inputs,
+                 noise=None):
     """Advance the network one Euler step; at most one neuron spikes.
 
-    Inputs by mode, every one required — estimator: y, u; controller: y, z,
-    zdot; autoencoder: signal, signal_dot. `noise` is an optional per-step
-    additive voltage-noise vector (already scaled by the caller).
+    `inputs` is the vector `input_op` acts on: the mode's inputs stacked in
+    MODE_INPUTS order (estimator: y, u; controller: y, z, zdot; autoencoder:
+    signal, signal_dot). A vector of the wrong length raises ValueError.
+    `noise` is an optional per-step additive voltage-noise vector (already
+    scaled by the caller).
 
     Returns (state, spiked neuron index or None); `state` is mutated in place.
     """
-    names = MODE_INPUTS.get(weights.mode)
-    if names is None:
-        raise ValueError(f"unknown network mode {weights.mode!r}")
-    given = dict(y=y, u=u, z=z, zdot=zdot, signal=signal, signal_dot=signal_dot)
-    inputs = [given[name] for name in names]
-    if any(value is None for value in inputs):
-        raise ValueError(f"{weights.mode} step needs "
-                         f"{', '.join(names[:-1])} and {names[-1]}")
     D, v, r = weights.decoders, state.v, state.r
     # ndarray.dot (half the cost of `@` here) and array methods skip np.* dispatch.
     q = weights.recurrent.dot(D.dot(r))
-    q += weights.input_op.dot(np.concatenate(inputs))
+    q += weights.input_op.dot(inputs)
     v += dt * (q.dot(D) - weights.leak * v)
     if noise is not None:
         v += noise

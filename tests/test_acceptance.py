@@ -109,12 +109,12 @@ def test_a2_coding_soundness(capsys):
     sig = 0.5 * np.column_stack([np.sin(omega * tgrid),
                                  1.0 - np.cos(omega * tgrid)])
     sig_dot = np.diff(sig, axis=0) / dt
+    inputs = np.hstack((sig[:-1], sig_dot))  # (signal, signal_dot) per step
     D = enc.decoder_x.values
     worst_err, spikes, reductions = 0.0, 0, 0
     seen_spike = False
     for i in range(n):
-        st, spiked = network_step(enc, st, dt, signal=sig[i],
-                                  signal_dot=sig_dot[i])
+        st, spiked = network_step(enc, st, dt, inputs[i])
         err_vec = sig[i + 1] - decode(enc, st).x_hat
         err = np.linalg.norm(err_vec)
         if spiked is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -113,6 +114,14 @@ def test_scenario_validation():
         replace(base, dt=0.0)
     with pytest.raises(ValueError, match="at least one neuron"):
         replace(base, n_neurons=0)
+    # A run needs at least one step: duration at least half of dt.
+    with pytest.raises(ValueError, match="duration = 0.0004 is under half of dt"):
+        replace(base, duration=4e-4)
+    with pytest.raises(ValueError, match="duration = 5e-05 is under half of dt"):
+        replace(robustness_scenario(0), duration=5e-5)
+    assert replace(base, duration=6e-4).n_steps == 1
+    with pytest.raises(ValueError, match="master_seed = -1 must be nonnegative"):
+        replace(base, master_seed=-1)
     with pytest.raises(ValueError, match="x0 has 1 entries"):
         replace(base, x0=[1.0])
     with pytest.raises(ValueError, match="silencing ids 0..44 are out of range"):
@@ -216,7 +225,7 @@ def test_matched_noiseless_estimator_tracks_plant():
     st.r[:] = np.linalg.pinv(dec.values) @ x
     dt, u0, sq = sc.dt, np.zeros(1), []
     for i in range(int(10.0 / sc.dt)):
-        network_step(w, st, dt, y=C @ x, u=u0)
+        network_step(w, st, dt, np.concatenate((C @ x, u0)))
         x = x + dt * (A @ x)
         if (i + 1) * dt > 1.0:
             sq.append(np.sum((x - decode(w, st).x_hat) ** 2))
@@ -678,11 +687,25 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             (["cartpole", "--config", str(short_state)], "x0 has 1 entries"),
             (["control", "--neurons", "0"], "at least one neuron"),
             (["estimate", "--dt", "0.5"], "Euler-unstable"),
-            (["control", "--duration", "inf"], "duration = inf must be finite")):
+            (["control", "--duration", "inf"], "duration = inf must be finite"),
+            # Runs of zero steps, and seeds that are not nonnegative integers.
+            (["control", "--duration", "0.0004"], "duration = 0.0004 is under half"),
+            (["cartpole", "--duration", "0.00004"], "duration = 4e-05 is under half"),
+            (["sparsity", "--duration", "0.00004"], "duration = 4e-05 is under half"),
+            (["estimate", "--duration", "0.0004"], "duration = 0.0004 is under half"),
+            (["sweep", "--duration", "0.00004"], "duration = 4e-05 is under half"),
+            (["estimate", "--seed", "-1"], "master_seed = -1 must be nonnegative")):
         out = tmp_path / "rejected"
-        assert cli_main(argv + ["--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "trajectory.csv").exists()
+        assert cli_main(argv + ["--out", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+    for value in ("1.5", "true", "abc"):
+        bad_seed = tmp_path / "seed.cfg"
+        bad_seed.write_text(f"seed = {value}\n")
+        out = tmp_path / "rejected"
+        assert cli_main(["estimate", "--config", str(bad_seed), "--out", str(out)]) == 2
+        assert "seed expects an integer" in capsys.readouterr().err, value
+        assert not out.exists(), value
     # Noise, decoder and leak values set in a config file.
     for line, message in (
             ("noise.sigma_n = 0", "sigma_n = 0 must be finite and positive"),
@@ -801,6 +824,25 @@ def test_cli_sweep_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["noise_grid"] == [0.01] and summary["pulse_grid"] == [100.0]
     assert summary["failed_cells"] == []
+
+
+def test_cli_sweep_divergence_is_quiet(tmp_path, capsys):
+    # The 1e-7 row diverges mid-run under the 1e308 pulse, and the 0.01 row's
+    # errors overflow. Both are reported cells: no numpy warning leaks.
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("sweep.noise_grid = 1e-7, 0.01\n"
+                   "sweep.pulse_grid = 100, 1e308\n"
+                   "pulse.onset = 0.1\npulse.duration = 0.8\n"
+                   "integration.duration = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_cells"] == [
+        [0, 1, "network diverged at step 4327 (t=0.4327)"],
+        [1, 1, "position errors overflow: MAE/RMSE not finite"]]
 
 
 def test_cli_sparsity_outputs(tmp_path):

@@ -62,7 +62,7 @@ def test_factored_drive_matches_dense_formula(case):
     state = new_state(quiet)
     state.r[:] = 5.0 * rng.standard_normal(n)
     r = state.r.copy()
-    _, spike = network_step(quiet, state, 1.0, y=y, z=z, zdot=zdot)
+    _, spike = network_step(quiet, state, 1.0, np.concatenate((y, z, zdot)))
     assert spike is None
     target = zdot + w.leak * z
     expected = dense["slow"] @ r + dense["obs"] @ y + dense["target"] @ target
@@ -85,9 +85,8 @@ def test_factored_reset_matches_dense_formula(case, data):
     thresholds[j] = -np.inf
     forced = replace(w, thresholds=thresholds)
     state = new_state(forced)
-    zeros = np.zeros(K)
-    _, spike = network_step(forced, state, 1e-3, y=np.zeros(dense["obs"].shape[1]),
-                            z=zeros, zdot=zeros)
+    _, spike = network_step(forced, state, 1e-3,
+                            np.zeros(dense["obs"].shape[1] + 2 * K))
     assert spike == j
     Dx, Dz = w.decoder_x.values, w.decoder_z.values
     scale = (np.abs(Dx.T) @ np.abs(Dx[:, j]) + np.abs(Dz.T) @ np.abs(Dz[:, j])).max()
@@ -110,12 +109,12 @@ def test_controller_run_matches_dense_stepper_spike_for_spike():
     zdot = np.zeros_like(z)
     zdot[:-1] = np.diff(z, axis=0) / dt
     noise = 1e-5 * np.sqrt(dt) * rng.standard_normal((steps, n))
+    inputs = np.hstack((y, z, zdot))
 
     state = new_state(w)
     v, r, spikes, dense_spikes = np.zeros(n), np.zeros(n), [], []
     for i in range(steps):
-        _, spike = network_step(w, state, dt, y=y[i], z=z[i], zdot=zdot[i],
-                                noise=noise[i])
+        _, spike = network_step(w, state, dt, inputs[i], noise[i])
         if spike is not None:
             spikes.append((i, spike))
         # Dense reference: the same Euler step with the N x N matrices.

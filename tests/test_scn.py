@@ -1,7 +1,5 @@
 """Spike-rule mechanics and the closed-form network constructions."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -264,28 +262,26 @@ def test_controller_population_mismatch():
 
 
 def test_step_input_requirements():
+    # The input vector is what input_op acts on: y, u (1 + 1) for the
+    # estimator, y, z, zdot (1 + 2 + 2) for the controller and signal,
+    # signal_dot (2 + 2) for the autoencoder. One entry short or long fails.
     sys, _, _, est = _random_estimator()
-    with pytest.raises(ValueError, match="estimator step"):
-        network_step(est, new_state(est), 1e-3, y=np.zeros(1))
     ctrl = build_controller(sys, np.zeros((2, 1)), np.zeros((1, 2)),
                             sample_decoder(2, 5, 0.1, seed=0),
                             sample_decoder(2, 5, 0.1, seed=1), leak=0.1)
-    with pytest.raises(ValueError, match="controller step"):
-        network_step(ctrl, new_state(ctrl), 1e-3, y=np.zeros(1), z=np.zeros(2))
     enc = build_autoencoder(sample_decoder(2, 5, 0.1, seed=0), leak=0.1)
-    with pytest.raises(ValueError, match="autoencoder step"):
-        network_step(enc, new_state(enc), 1e-3, signal=np.zeros(2))
-    bogus = dataclasses.replace(enc, mode="florp")
-    with pytest.raises(ValueError, match="unknown network mode"):
-        network_step(bogus, new_state(bogus), 1e-3)
+    for weights, size in ((est, 2), (ctrl, 5), (enc, 4)):
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(ValueError):
+                network_step(weights, new_state(weights), 1e-3, np.zeros(wrong))
+        network_step(weights, new_state(weights), 1e-3, np.zeros(size))
 
 
 def test_quiet_network_never_spikes():
     enc = build_autoencoder(sample_decoder(2, 5, 0.1, seed=0), leak=0.1)
     st = new_state(enc)
     for _ in range(100):
-        st, spike = network_step(enc, st, 1e-3, signal=np.zeros(2),
-                                 signal_dot=np.zeros(2))
+        st, spike = network_step(enc, st, 1e-3, np.zeros(4))
     assert spike is None and st.spike_log == []
     np.testing.assert_array_equal(st.v, np.zeros(5))
     assert st.step == 100 and abs(st.t - 0.1) < 1e-12
@@ -298,8 +294,7 @@ def test_voltage_and_rate_leak_kinematics():
     st.v[:] = 0.004  # below threshold 0.005: decays without spiking
     st.r[:] = 1.0
     for _ in range(k):
-        st, spike = network_step(enc, st, dt, signal=np.zeros(2),
-                                 signal_dot=np.zeros(2))
+        st, spike = network_step(enc, st, dt, np.zeros(4))
         assert spike is None
     np.testing.assert_allclose(st.v, 0.004 * (1 - lam * dt) ** k, rtol=1e-12)
     np.testing.assert_allclose(st.r, (1 - lam * dt) ** k, rtol=1e-12)
@@ -310,8 +305,8 @@ def test_zero_leak_rate_is_a_spike_counter():
     st = new_state(enc)
     rng = np.random.default_rng(0)
     for _ in range(500):
-        st, _ = network_step(enc, st, 1e-3, signal=rng.standard_normal(2),
-                             signal_dot=rng.standard_normal(2) * 5)
+        st, _ = network_step(enc, st, 1e-3, np.concatenate(
+            (rng.standard_normal(2), rng.standard_normal(2) * 5)))
     assert len(st.spike_log) > 0
     assert st.r.sum() == len(st.spike_log)
     assert np.all(st.r == np.round(st.r))
@@ -321,8 +316,7 @@ def test_single_spike_updates():
     enc = build_autoencoder(sample_decoder(2, 5, 0.1, seed=0), leak=0.0)
     st = new_state(enc)
     st.v[2] = enc.thresholds[2] + 0.001
-    st, spike = network_step(enc, st, 1e-3, signal=np.zeros(2),
-                             signal_dot=np.zeros(2))
+    st, spike = network_step(enc, st, 1e-3, np.zeros(4))
     assert spike == 2
     assert st.r[2] == 1.0 and st.r.sum() == 1.0
     assert st.spike_log == [(0.0, 2)]
@@ -336,8 +330,7 @@ def test_one_spike_per_step_greedy_winner():
     st = new_state(enc)
     st.v[1] = enc.thresholds[1] + 0.001
     st.v[3] = enc.thresholds[3] + 0.002  # larger excess: greedy pick
-    st, spike = network_step(enc, st, 1e-3, signal=np.zeros(2),
-                             signal_dot=np.zeros(2))
+    st, spike = network_step(enc, st, 1e-3, np.zeros(4))
     assert spike == 3
     assert len(st.spike_log) == 1
 
@@ -347,8 +340,7 @@ def test_threshold_tie_goes_to_lowest_index():
     st = new_state(enc)
     st.v[1] = enc.thresholds[1] + 0.001
     st.v[4] = enc.thresholds[4] + 0.001
-    st, spike = network_step(enc, st, 1e-3, signal=np.zeros(2),
-                             signal_dot=np.zeros(2))
+    st, spike = network_step(enc, st, 1e-3, np.zeros(4))
     assert spike == 1
 
 
@@ -359,8 +351,7 @@ def test_silenced_neuron_never_spikes_but_keeps_integrating():
     silence(st, [0])
     st.v[0] = 10.0  # way above threshold
     st.v[1] = enc.thresholds[1] + 0.001
-    st, spike = network_step(enc, st, 1e-3, signal=np.zeros(2),
-                             signal_dot=np.zeros(2))
+    st, spike = network_step(enc, st, 1e-3, np.zeros(4))
     assert spike == 1  # the runner-up wins instead
     assert all(j != 0 for _, j in st.spike_log)
     # the silenced voltage still obeys the leak dynamics (plus fast kick)
@@ -375,8 +366,8 @@ def test_silence_everything_decays_to_zero():
     silence(st, range(5), t=0.0)
     d0 = np.linalg.norm(decode(enc, st).x_hat)
     for _ in range(300):
-        st, spike = network_step(enc, st, 1e-2, signal=np.ones(2),
-                                 signal_dot=np.zeros(2))
+        st, spike = network_step(enc, st, 1e-2,
+                                 np.concatenate((np.ones(2), np.zeros(2))))
         assert spike is None
     assert np.linalg.norm(decode(enc, st).x_hat) < 0.06 * d0
     assert st.silence_log == [(0.0, (0, 1, 2, 3, 4))]
@@ -397,7 +388,7 @@ def test_divergence_raises_with_step_index():
     st.step = 41
     st.v[0] = np.nan
     with pytest.raises(NetworkDivergedError, match="step 41"):
-        network_step(enc, st, 1e-3, signal=np.zeros(2), signal_dot=np.zeros(2))
+        network_step(enc, st, 1e-3, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +407,11 @@ def _run_autoencoder(n_neurons, seed, duration=5.0, dt=1e-3, gamma=0.1,
     sig = 0.5 * np.column_stack([np.sin(omega * tgrid),
                                  1.0 - np.cos(omega * tgrid)])
     sig_dot = np.diff(sig, axis=0) / dt
+    inputs = np.hstack((sig[:-1], sig_dot))
     errors = np.empty(n)
     first_spike = None
     for i in range(n):
-        st, spike = network_step(enc, st, dt, signal=sig[i], signal_dot=sig_dot[i])
+        st, spike = network_step(enc, st, dt, inputs[i])
         if first_spike is None and spike is not None:
             first_spike = i
         errors[i] = np.linalg.norm(sig[i + 1] - decode(enc, st).x_hat)
@@ -456,7 +448,7 @@ def test_autonomous_network_follows_embedded_dynamics():
     n = 10_000
     for _ in range(n):
         x = x + dt * (A @ x)
-        st, _ = network_step(w, st, dt, y=np.zeros(1), u=np.zeros(1))
+        st, _ = network_step(w, st, dt, np.zeros(2))
         sq += np.sum((x - decode(w, st).x_hat) ** 2)
     assert np.sqrt(sq / n) < 5 * 0.1
 
@@ -501,10 +493,11 @@ def test_weight_roundtrip_estimator(tmp_path):
 
 
 def _inputs(mode, rng):
-    """One step's random inputs for a network of the given mode (state
+    """One step's random input vector for a network of the given mode (state
     dimension 2, one observation, one control input)."""
     shapes = {"y": 1, "u": 1, "z": 2, "zdot": 2, "signal": 2, "signal_dot": 2}
-    return {name: rng.standard_normal(shapes[name]) for name in MODE_INPUTS[mode]}
+    return np.concatenate([rng.standard_normal(shapes[name])
+                           for name in MODE_INPUTS[mode]])
 
 
 def test_weight_roundtrip_all_modes_replays(tmp_path):
@@ -531,8 +524,8 @@ def test_weight_roundtrip_all_modes_replays(tmp_path):
             st.r[:] = 3.0
             step_rng = np.random.default_rng(9)
             for _ in range(300):
-                network_step(net, st, 1e-2, noise=1e-3 * step_rng.standard_normal(15),
-                             **_inputs(w.mode, step_rng))
+                noise = 1e-3 * step_rng.standard_normal(15)
+                network_step(net, st, 1e-2, _inputs(w.mode, step_rng), noise)
             runs.append(st)
         assert runs[0].spike_log and runs[0].spike_log == runs[1].spike_log, w.mode
         np.testing.assert_array_equal(runs[0].v, runs[1].v)
