@@ -63,6 +63,10 @@ class ReferenceSchedule:
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.times.ndim != 1 or len(self.times) != len(self.values):
             raise ValueError("need one value row per schedule time")
+        for key, value in (("times", self.times), ("values", self.values)):
+            bad = value[~np.isfinite(value)]
+            if bad.size:
+                raise ValueError(f"reference {key} must be finite, got {bad[0]:g}")
         if len(self.times) > 1 and np.diff(self.times).min() <= 0:
             raise ValueError("schedule times must be strictly increasing")
 
@@ -124,6 +128,9 @@ class Scenario:
             if not (math.isfinite(value) and sign_ok):
                 kind = "positive" if key in positive else "nonnegative"
                 raise ValueError(f"{key} = {value:g} must be finite and {kind}")
+        if not math.isfinite(self.eta_v * self.eta_v):
+            raise ValueError(f"eta_v = {self.eta_v:g} is too large: its square, the "
+                             "voltage-noise variance, is not finite")
         if self.n_steps < 1:
             raise ValueError(f"duration = {self.duration:g} is under half of dt = "
                              f"{self.dt:g}, so the run has no steps")
@@ -144,6 +151,8 @@ class Scenario:
         if self.x0.size != state_dim:
             raise ValueError(f"x0 has {self.x0.size} entries, but the "
                              f"{type(self.plant).__name__} state has {state_dim}")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 = {self.x0.tolist()} must be finite")
         if self.cost is not None:
             for key, dim in (("Q", state_dim), ("R", B.shape[1])):
                 shape = getattr(self.cost, key).shape
@@ -154,6 +163,8 @@ class Scenario:
             self.silencing = sorted(
                 (float(t), tuple(int(i) for i in ids)) for t, ids in self.silencing
             )
+            if not all(math.isfinite(t) for t, _ in self.silencing):
+                raise ValueError("silencing times must be finite")
             ids = [i for _, block in self.silencing for i in block]
             if ids and not (0 <= min(ids) and max(ids) < self.n_neurons):
                 raise ValueError(f"silencing ids {min(ids)}..{max(ids)} are out of "
@@ -328,11 +339,13 @@ def _reference_rows(sc: Scenario):
     return z, zdot, pulse
 
 
-def _voltage_rows(sc: Scenario, n: int, block: int = 16384):
+def _voltage_rows(sc: Scenario, n: int):
     """Yield n per-step rows of voltage noise of variance eta_v**2, scaled by
-    sqrt(dt), drawn in blocks to bound memory."""
+    sqrt(dt), drawn in blocks of about 1 MiB (at least one row) to bound
+    memory whatever the population size."""
     src = NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
     sdt = np.sqrt(sc.dt)
+    block = max(1, (1 << 20) // (8 * sc.n_neurons))
     for start in range(0, n, block):
         rows = src.sample_block(min(block, n - start))
         rows *= sdt  # in place: a scaled copy beside the block raises peak memory
@@ -395,86 +408,90 @@ def run_estimation(sc: Scenario) -> Trajectory:
                       meta=_meta(sc))
 
 
-def _plant_model(sc: Scenario, system: LinearSystem):
-    """(rate, equilibrium, guard) of the scenario's plant.
-
-    rate(x, u) is the state derivative; the network's coordinates are taken
-    about the equilibrium; guard(i, x, xo) runs after every Euler step.
-    """
-    if not isinstance(sc.plant, CartpoleParams):
-        A, B = system.A, system.B
-        return (lambda x, u: A.dot(x) + B.dot(u)), np.zeros(system.state_dim), None
-    p, dt = sc.plant, sc.dt
-
-    def pole_guard(i, x, xo):
-        for state, loop in ((x, ""), (xo, ", ideal loop")):
-            if abs(state[2] - np.pi) > np.pi / 2:
-                raise PoleDroppedError(
-                    f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
-
-    return (lambda x, u: cartpole_dynamics(p, x, u[0])), CARTPOLE_UP, pole_guard
-
-
 def _closed_loop(sc: Scenario, net, noise, reference):
     """The spiking controller and the ideal LQG loop on twin plants.
 
     `net` is (system, K_f, K_c, weights); `noise` holds the (disturbance,
     sensor, voltage) rows and `reference` the (z, zdot, pulse) rows, one per
     step, as the runner prepared them; both loops consume the same rows. The
-    plant model, start state, step and silencing schedule come from the
-    scenario. Returns (trajectory, final SCN plant state, final ideal plant
-    state), the states in network coordinates. Raises NetworkDivergedError
-    when a final plant state is not finite.
+    plant, start state, step and silencing schedule come from the scenario:
+    the linear plant is stepped as x + dt (A x + B u) in network coordinates;
+    the cartpole through `cartpole_dynamics`, its network coordinates taken
+    about the upright pole, raising PoleDroppedError when a pole falls more
+    than 90 degrees. Each step writes what it records in place, into arrays
+    made before the loop. Returns (trajectory, final SCN plant state, final
+    ideal plant state), the states in network coordinates. Raises
+    NetworkDivergedError when a final plant state is not finite.
     """
     system, kf, kc, weights = net
     w, e, eta = noise
     eta = iter(eta)
     z, zdot, pulse = reference
-    ref = np.hstack((z, zdot))  # the input vector's part after y
-    rate, x_eq, guard = _plant_model(sc, system)
     n, dt = sc.n_steps, sc.dt
     time = np.arange(n) * dt
-    kills = list(sc.silencing or [])
-    ki = 0
+    # A silencing block applies at the first step whose time is at least its
+    # own less 1e-9 s; the schedule ends with a step no run reaches.
+    blocks = sc.silencing or []
+    steps = np.searchsorted(time, [t - 1e-9 for t, _ in blocks])
+    kills = iter([(int(k), ids) for k, (_, ids) in zip(steps, blocks)] + [(n, ())])
+    kill_step, kill_ids = next(kills)
     st = new_state(weights)
     est = LqgState(np.zeros(system.state_dim))
+    cart = sc.plant if isinstance(sc.plant, CartpoleParams) else None
 
-    C = system.C
-    dxv, dzv = weights.decoder_x.values, weights.decoder_z.values
-    K, P = system.state_dim, system.input_dim
-    X, XH, ZH, OXH, OX = (np.empty((n, K)) for _ in range(5))
-    Y = np.empty((n, system.obs_dim))
+    A, B, C = system.A, system.B, system.C
+    dxv, dzv, r = weights.decoder_x.values, weights.decoder_z.values, st.r
+    dt_arr = np.array(dt)  # the same product as a Python float, converted once
+    K, P, p = system.state_dim, system.input_dim, system.obs_dim
+    # Row i of IN is step i's network input (y, z, zdot); y is written per step.
+    IN = np.empty((n, p + 2 * K))
+    IN[:, p:p + K], IN[:, p + K:] = z, zdot
+    Y = IN[:, :p]
+    # Row i of XS/OS is the SCN/ideal plant state before step i; row n is final.
+    XS, OS = np.empty((n + 1, K)), np.empty((n + 1, K))
+    XS[0] = OS[0] = sc.x0
+    XH, ZH, OXH = (np.empty((n, K)) for _ in range(3))
     U, OU = np.empty((n, P)), np.empty((n, P))
-    x = sc.x0.copy()
-    xo = sc.x0.copy()
+    x, xo = XS[0], OS[0]
     for i in range(n):
-        t = time[i]
-        while ki < len(kills) and t >= kills[ki][0] - 1e-9:
-            silence(st, kills[ki][1], t)
-            ki += 1
-        dev = x - x_eq
-        y = C.dot(dev) + e[i]
-        network_step(weights, st, dt, np.concatenate((y, ref[i])), next(eta))
-        xh = dxv.dot(st.r)
-        zh = dzv.dot(st.r)
-        u = -kc.dot(xh - zh)
-        devo = xo - x_eq
-        lqg_step(system, kf, kc, est, C.dot(devo) + e[i], z[i], dt)
-        X[i], Y[i], XH[i], ZH[i], U[i] = dev, y, xh, zh, u
-        OXH[i], OU[i], OX[i] = est.x_hat, est.u, devo
-        up, uop = (u, est.u) if pulse is None else (u + pulse[i], est.u + pulse[i])
-        x = x + dt * rate(x, up) + w[i]
-        xo = xo + dt * rate(xo, uop) + w[i]
-        if guard is not None:
-            guard(i, x, xo)
+        while i == kill_step:
+            silence(st, kill_ids, time[i])
+            kill_step, kill_ids = next(kills)
+        ei = e[i]
+        dev, devo = (x, xo) if cart is None else (x - CARTPOLE_UP, xo - CARTPOLE_UP)
+        np.add(C.dot(dev), ei, out=Y[i])
+        network_step(weights, st, dt, IN[i], next(eta))
+        xh = dxv.dot(r, out=XH[i])
+        zh = dzv.dot(r, out=ZH[i])
+        u = np.negative(kc.dot(xh - zh), out=U[i])
+        lqg_step(system, kf, kc, est, C.dot(devo) + ei, z[i], dt)
+        OXH[i] = est.x_hat
+        OU[i] = uo = est.u
+        if pulse is not None:
+            u, uo = u + pulse[i], uo + pulse[i]
+        xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
+        if cart is None:
+            np.add(x + dt_arr * (A.dot(x) + B.dot(u)), wi, out=xn)
+            np.add(xo + dt_arr * (A.dot(xo) + B.dot(uo)), wi, out=xon)
+        else:
+            np.add(x + dt_arr * cartpole_dynamics(cart, x, u.item(0)), wi, out=xn)
+            np.add(xo + dt_arr * cartpole_dynamics(cart, xo, uo.item(0)), wi, out=xon)
+            for state, loop in ((xn, ""), (xon, ", ideal loop")):
+                if abs(state.item(2) - math.pi) > math.pi / 2:
+                    raise PoleDroppedError(
+                        f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
+        x, xo = xn, xon
     if not (np.isfinite(x).all() and np.isfinite(xo).all()):
         raise NetworkDivergedError(
             f"closed loop diverged: plant state not finite after {n} steps")
-    traj = Trajectory(time=time, x=X, y=Y, x_hat=XH, oracle_x_hat=OXH,
-                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OX,
+    if cart is not None:
+        XS -= CARTPOLE_UP
+        OS -= CARTPOLE_UP
+    traj = Trajectory(time=time, x=XS[:n], y=Y, x_hat=XH, oracle_x_hat=OXH,
+                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n],
                       spikes=list(st.spike_log),
                       silence_events=list(st.silence_log), meta=_meta(sc))
-    return traj, x - x_eq, xo - x_eq
+    return traj, XS[n], OS[n]
 
 
 def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):

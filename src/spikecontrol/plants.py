@@ -49,10 +49,15 @@ class CartpoleParams:
 
 def cartpole_dynamics(p: CartpoleParams, x, u):
     """State rate for x = (cart pos, cart vel, pole angle, pole ang. vel), force u."""
-    u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
+    # A Python float force and a float64 state, as the closed loop passes
+    # them, need no conversion.
+    if type(u) is not float:
+        u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
     # Python floats and math.sin/cos: the same IEEE operations as on numpy
     # scalars, without their per-operation dispatch.
-    _, vel, theta, omega = np.asarray(x, dtype=float).tolist()
+    _, vel, theta, omega = x.tolist()
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     den = p.m * p.L**2 * (p.M + p.m * (1.0 - cos_t**2))
     swing = p.m * p.L * omega**2 * sin_t - p.d * vel
@@ -98,6 +103,10 @@ class PulseSchedule:
     magnitude: float
 
     def __post_init__(self):
+        for key, value in (("onset", self.onset), ("duration", self.duration),
+                           ("magnitude", self.magnitude)):
+            if not math.isfinite(value):
+                raise ValueError(f"pulse {key} = {value:g} must be finite")
         if self.onset < 0 or self.duration <= 0:
             raise ValueError("pulse onset must be nonnegative and duration positive")
 

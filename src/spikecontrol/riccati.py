@@ -20,6 +20,9 @@ class LqrCost:
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        for key, value in (("Q", self.Q), ("R", self.R)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"cost {key} must be finite, got {value.tolist()}")
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         if not np.allclose(self.R, self.R.T, atol=1e-12):

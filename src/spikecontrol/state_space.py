@@ -42,7 +42,9 @@ class NoiseSource:
 
     def sample_block(self, n: int) -> np.ndarray:
         """Draw `n` consecutive samples as an (n, dim) array."""
-        return self._rng.standard_normal((n, self.dim)) * self._scale
+        out = self._rng.standard_normal((n, self.dim))
+        out *= self._scale  # in place: no second block-sized array
+        return out
 
 
 @dataclass

@@ -171,6 +171,29 @@ def test_scenario_validation():
              "cost Q is 2x2, but the CartpoleParams plant needs 4x4")):
         with pytest.raises(ValueError, match=message):
             replace(sc, cost=cost)
+    # Non-finite start, schedule and cost values, each refused by its owner.
+    with pytest.raises(ValueError, match=r"x0 = \[nan, 0.0\] must be finite"):
+        replace(ctrl, x0=[np.nan, 0.0])
+    with pytest.raises(ValueError, match=r"x0 = \[0.0, 0.0, inf, 0.0\] must be finite"):
+        replace(cartpole_scenario(0), x0=[0.0, 0.0, np.inf, 0.0])
+    with pytest.raises(ValueError, match="silencing times must be finite"):
+        replace(ctrl, silencing=[(np.nan, (0,))])
+    for key in ("onset", "duration", "magnitude"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"pulse {key} = {value} must be finite"):
+                replace(pulse, **{key: value})
+    with pytest.raises(ValueError, match="reference times must be finite, got nan"):
+        stair_reference([1.0, 2.0], [0.05, np.nan], 2)
+    with pytest.raises(ValueError, match="reference values must be finite, got -inf"):
+        stair_reference([-np.inf, 2.0], [1.0, 2.0], 2)
+    with pytest.raises(ValueError, match=r"cost Q must be finite, got \[\[inf"):
+        LqrCost(Q=np.diag([np.inf, 1.0]), R=[[1.0]])
+    with pytest.raises(ValueError, match=r"cost R must be finite, got \[\[nan\]\]"):
+        LqrCost(Q=np.eye(2), R=[[np.nan]])
+    # eta_v is finite, but its square, the voltage-noise variance, must be too.
+    with pytest.raises(ValueError, match="eta_v = 1e[+]300 is too large: its square"):
+        replace(ctrl, eta_v=1e300)
+    assert replace(ctrl, eta_v=1e150).eta_v == 1e150
 
 
 def test_scenario_sorts_silencing():
@@ -300,6 +323,39 @@ def test_silencing_is_enforced(ctrl_silenced):
     assert any(t >= 10.0 for t, _ in traj.spikes)
 
 
+@pytest.mark.parametrize("runner", ["control", "cartpole"])
+def test_silencing_at_grid_edges(runner):
+    # A block applies at the first step whose time is at least the block's
+    # time less 1e-9 s: exactly on the grid, 5e-10 s after a grid time (that
+    # step), 2e-9 s after one (the next step), and two blocks on one step.
+    if runner == "control":
+        run, base = run_control, replace(
+            smd_control_scenario(0), duration=0.2,
+            reference=stair_reference([2.0, 4.0, 6.0, 8.0], [0.01, 0.05, 0.09, 0.13], 2))
+    else:
+        run, base = run_cartpole, replace(
+            cartpole_scenario(0), duration=0.02,
+            reference=stair_reference([0.5, 1.0], [0.001, 0.01], 4))
+    dt = base.dt
+    edges = [(40 * dt, 40), (80 * dt + 5e-10, 80), (120 * dt + 2e-9, 121),
+             (160 * dt, 160), (160 * dt + 5e-10, 160)]
+    # Silence, at each block, the neurons most active from its step on in a
+    # run without silencing, so the check below has spikes to forbid.
+    free = run(base)
+    blocks = []
+    for k, (t, step) in enumerate(edges):
+        later = Counter(j for ts, j in free.spikes if round(ts / dt) >= step)
+        ids = tuple(sorted(j for j, _ in later.most_common(2 + k % 2)))
+        assert ids, (runner, step)
+        blocks.append((t, ids))
+    traj = run(replace(base, silencing=blocks))
+    assert traj.silence_events == [(float(traj.time[step]), ids)
+                                   for (_, step), (_, ids) in zip(edges, blocks)]
+    for (_, step), (_, ids) in zip(edges, blocks):
+        assert not [j for ts, j in traj.spikes if j in ids and round(ts / dt) >= step]
+    assert traj.spike_count > 0
+
+
 def test_spike_raster_integrity(ctrl_silenced):
     traj = ctrl_silenced
     times = np.array([t for t, _ in traj.spikes])
@@ -407,18 +463,32 @@ def test_trajectory_csv_bytes_match_per_float_repr(tmp_path, stride):
     assert body.count(b"\n") == (n + stride - 1) // stride
 
 
-def test_voltage_rows_are_scaled_noise_source_blocks():
-    # 16 484 steps cross the 16 384-row block boundary of `_voltage_rows`.
-    sc = replace(smd_control_scenario(3), duration=16.484)
-    n = sc.n_steps
-    assert n == 16_484
-    _, _, rows = experiments._noise_rows(sc, build_network(sc)[0])
-    src = experiments.NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed,
-                                  experiments.StreamLabel.VOLTAGE)
-    want = np.sqrt(sc.dt) * src.sample_block(n)
-    got = np.array(list(rows))
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+def test_voltage_rows_are_scaled_noise_source_blocks(monkeypatch):
+    # `_voltage_rows` draws blocks of at most 1 MiB: 2621 rows at N=50, so
+    # 16 484 steps cross six block boundaries, and 65 rows at N=2000, so 200
+    # steps cross three. Every row equals one draw of all n rows.
+    drawn = []
+    sample_block = experiments.NoiseSource.sample_block
+
+    def recording(self, k):
+        drawn.append((self.dim, k))
+        return sample_block(self, k)
+
+    monkeypatch.setattr(experiments.NoiseSource, "sample_block", recording)
+    for n_neurons, n, per_block in ((50, 16_484, 2621), (2000, 200, 65)):
+        sc = replace(smd_control_scenario(3), n_neurons=n_neurons, duration=n * 1e-3)
+        assert sc.n_steps == n
+        drawn.clear()
+        _, _, rows = experiments._noise_rows(sc, build_network(sc)[0])
+        got = np.array(list(rows))
+        blocks = [k for dim, k in drawn if dim == n_neurons]
+        assert blocks == [per_block] * (n // per_block) + [n % per_block], n_neurons
+        assert per_block * n_neurons * 8 <= 1 << 20 < (per_block + 1) * n_neurons * 8
+        src = experiments.NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed,
+                                      experiments.StreamLabel.VOLTAGE)
+        want = np.sqrt(sc.dt) * src.sample_block(n)
+        assert np.array_equal(got, want), n_neurons
+        assert np.array_equal(np.signbit(got), np.signbit(want)), n_neurons
 
 
 def test_spike_csv_roundtrip(tmp_path, est_short):
@@ -775,7 +845,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("sweep", "cost.q = 1, 1, 1", "cost Q is 3x3, but the SmdParams plant"),
             ("cartpole", "cost.q = 1, 1", "cost Q is 2x2, but the CartpoleParams plant"),
             ("export-weights", "scenario = cartpole\ncost.q = 1, 1",
-             "cost Q is 2x2, but the CartpoleParams plant")):
+             "cost Q is 2x2, but the CartpoleParams plant"),
+            # Non-finite schedule, start and cost values, and an eta_v whose
+            # square overflows.
+            ("control", "pulse.onset = nan", "pulse onset = nan must be finite"),
+            ("sweep", "pulse.onset = nan", "pulse onset = nan must be finite"),
+            ("control", "pulse.magnitude = nan\npulse.onset = 0.1",
+             "pulse magnitude = nan must be finite"),
+            ("cartpole", "pulse.duration = inf", "pulse duration = inf must be finite"),
+            ("control", "reference.positions = nan, 1\nreference.times = 1, 2",
+             "reference values must be finite, got nan"),
+            ("control", "reference.times = 0.05, nan\nreference.positions = 1, 2",
+             "reference times must be finite, got nan"),
+            ("control", "initial.state = nan, 0", "x0 = [nan, 0.0] must be finite"),
+            ("estimate", "initial.state = 1, inf", "x0 = [1.0, inf] must be finite"),
+            ("control", "cost.q = inf, 1", "cost Q must be finite"),
+            ("cartpole", "cost.r = nan", "cost R must be finite"),
+            ("control", "network.eta_v = 1e300", "eta_v = 1e+300 is too large")):
         bad = tmp_path / "bad_list.cfg"
         bad.write_text(text + "\n")
         out = tmp_path / "not_made"

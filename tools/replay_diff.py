@@ -15,6 +15,10 @@ side by side, with BLAS pinned to one thread):
   1e-7 sensor-noise cell diverges mid-run, through the runner (six neurons,
   so the cells run in three batches) and through the CLI (the default
   silencing at 10 s);
+- a 0.6 s cartpole run with a 50 N pulse and a third of the neurons silenced
+  during it, the pole kept up, through the runner (so the nonlinear plant is
+  stepped through the pulse and silencing branches), and a 0.6 s cartpole
+  with the same pulse set by `pulse.*` keys through the CLI;
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
   `estimate`, a 1 s `sparsity`, and `export-weights` for each of its five
   `scenario` values, each writing its output directory (so all six
@@ -85,6 +89,7 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
 
     from spikecontrol import cli
     from spikecontrol import experiments as ex
+    from spikecontrol.plants import PulseSchedule
     from workloads import WORKLOADS
 
     def runner(workload, seed):
@@ -126,6 +131,17 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             f"sweep.pulse_grid = {', '.join(map(repr, SWEEP_PULSE))}\n"
             "silencing.enabled = true\nintegration.dt = 0.001\n"
             "integration.duration = 11\npulse.onset = 9.8\npulse.duration = 0.8\n")))
+        # The silencing block falls inside the pulse, 0.28-0.33 s.
+        cases.append((f"cartpole-pulse-silencing-s{seed}", lambda s=seed: ex.run_cartpole(
+            replace(ex.cartpole_scenario(s), duration=0.6,
+                    reference=ex.stair_reference([0.5, 1.0], [0.04, 0.19], 4),
+                    pulse=PulseSchedule(onset=0.28, duration=0.05, magnitude=50.0),
+                    silencing=[(0.3, tuple(range(0, 100, 3)))]))))
+        cases.append((f"cli-cartpole-pulse-s{seed}", cli_run(
+            "cartpole-pulse", seed, ["cartpole"],
+            "integration.duration = 0.6\nreference.times = 0.04, 0.19\n"
+            "reference.positions = 0.5, 1.0\npulse.onset = 0.28\n"
+            "pulse.duration = 0.05\npulse.magnitude = 50.0\n")))
         cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
             replace(ex.estimation_scenario(s), duration=10.0))))
         cases.append((f"cli-estimate-s{seed}",
