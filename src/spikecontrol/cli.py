@@ -116,7 +116,15 @@ def run(argv=None) -> int:
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"sweep.noise_grid entry {value:g} must be finite "
                               "and positive, like noise.sigma_n")
+    for value in pulse or ():
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.pulse_grid entry {value:g} must be finite")
     sc = _build_scenario(command, args, cfg)
+    for value in lambdas or ():  # each is a run's leak, and obeys its rules
+        try:
+            replace(sc, leak=value)
+        except ValueError as err:
+            raise ConfigError(f"sparsity.lambdas entry {value:g}: {err}") from None
     out = Path(args.out) if args.out else Path("out") / command
     out.mkdir(parents=True, exist_ok=True)
 

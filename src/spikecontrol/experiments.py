@@ -325,9 +325,11 @@ def _noise_rows(sc: Scenario, system: LinearSystem):
     dist = NoiseSource(sc.sigma_d, system.state_dim, sc.master_seed,
                        StreamLabel.DISTURBANCE)
     sens = NoiseSource(sc.sigma_n, system.obs_dim, sc.master_seed, StreamLabel.SENSOR)
-    n = sc.n_steps
-    return (np.sqrt(sc.dt) * dist.sample_block(n), sens.sample_block(n),
-            _voltage_rows(sc, n))
+    volt = NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
+    n, sdt = sc.n_steps, np.sqrt(sc.dt)
+    w = dist.sample_block(n)
+    w *= sdt
+    return w, sens.sample_block(n), _voltage_rows(volt, n, sdt)
 
 
 def _reference_rows(sc: Scenario):
@@ -339,16 +341,14 @@ def _reference_rows(sc: Scenario):
     return z, zdot, pulse
 
 
-def _voltage_rows(sc: Scenario, n: int):
-    """Yield n per-step rows of voltage noise of variance eta_v**2, scaled by
-    sqrt(dt), drawn in blocks of about 1 MiB (at least one row) to bound
+def _voltage_rows(src: NoiseSource, n: int, scale):
+    """Yield n per-step voltage-noise rows of `src`, each multiplied by
+    `scale`, drawn in blocks of about 1 MiB (at least one row) to bound
     memory whatever the population size."""
-    src = NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
-    sdt = np.sqrt(sc.dt)
-    block = max(1, (1 << 20) // (8 * sc.n_neurons))
+    block = max(1, (1 << 20) // (8 * src.dim))
     for start in range(0, n, block):
         rows = src.sample_block(min(block, n - start))
-        rows *= sdt  # in place: a scaled copy beside the block raises peak memory
+        rows *= scale  # in place: a scaled copy beside the block raises peak memory
         yield from rows
 
 
@@ -500,8 +500,10 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
 
     `cells` holds each cell's (weights, K_f, sensor-noise scale, pulse
     magnitude), the weights sharing one pair of decoders; `noise` the shared
-    (disturbance, unit sensor, voltage) rows, and `reference` the (z, zdot,
-    pulse on) rows. Each cell still gets its own `network_step` and
+    (disturbance, unit sensor) rows and an iterator of voltage rows, one taken
+    per step, and `reference` the (z, zdot, pulse on) rows. Each step writes
+    the cells' network inputs (y, z, zdot) into the rows of one buffer made
+    before the loop. Each cell still gets its own `network_step` and
     `lqg_step` call per step. Its SCN and ideal plants are rows 2j and 2j + 1
     of one stacked array, and the observation, decode, readout, pulse, Euler
     step and record are each one operation on all rows: stacked `np.matmul`
@@ -517,8 +519,8 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     n, dt = sc.n_steps, sc.dt
     w, e_unit, eta = noise
     z, zdot, pulse_on = reference
-    ref = np.hstack((z, zdot))  # the input vector's part after y
     A, B, C = system.A, system.B, system.C
+    K, p = system.state_dim, system.obs_dim
     dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
     time = np.arange(n) * dt
     kills = list(sc.silencing or [])
@@ -533,6 +535,7 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     scale = np.repeat([[[s]] for _, _, s, _ in cells], 2, axis=0)
     pulse = np.repeat([[[m]] for _, _, _, m in cells], 2, axis=0)
     U = np.empty((len(X), system.input_dim, 1))
+    IN = np.empty((len(cells), p + 2 * K))  # row j: cell j's network input
     positions = np.empty((n, len(X)))
     R = np.array([st.r for _, _, st, _, _ in live])  # row j: cell j's r
     for (_, _, st, _, _), r in zip(live, R):
@@ -545,11 +548,12 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
                 silence(st, kills[ki][1], t)
             ki += 1
         Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
-        zi, refi, etai = z[i], ref[i], eta[i]
+        zi, etai = z[i], next(eta)
+        IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]
         for cell in tuple(live):
             j, weights, st, kf, est = cell
             try:
-                network_step(weights, st, dt, np.concatenate((Y[2 * j], refi)), etai)
+                network_step(weights, st, dt, IN[j], etai)
             except NetworkDivergedError as err:
                 out[j] = err
                 live.remove(cell)
@@ -625,7 +629,9 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     cell whose loop diverges or whose errors are not finite is recorded as
     NaN and listed in failed_cells as (noise index, pulse index, message).
     The cells run through `_lockstep` in batches of at most N // 2 (at least
-    one), so a batch's position records fit in the n x N voltage-noise rows.
+    one). Each batch draws its voltage rows afresh in blocks of about 1 MiB,
+    so a batch's n x 2B position record, which the metrics read whole, is
+    the sweep's largest array, and the cap holds it to n x N floats.
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
@@ -637,6 +643,9 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
                             dtype=float)
     if noise_grid.size == 0 or pulse_grid.size == 0:
         raise ValueError("grids must be nonempty")
+    bad = pulse_grid[~np.isfinite(pulse_grid)]
+    if bad.size:
+        raise ValueError(f"pulse_grid entry {bad[0]:g} must be finite")
 
     system = _linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
@@ -645,17 +654,15 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     n, dt = sc.n_steps, sc.dt
     z, zdot = sc.reference.sample_grid(n, dt)
     time = np.arange(n) * dt
-    # Common random numbers: unit draws made once, scaled per cell. Drawing
-    # each cell's rows through `_noise_rows` gives the same rows up to
-    # rounding, but builds three streams per cell instead of three per sweep,
-    # which made a 2 x 2 sweep's set-up 13-29% slower.
-    w_unit = make_rng(sc.master_seed, StreamLabel.DISTURBANCE).standard_normal(
-        (n, system.state_dim))
-    e_unit = make_rng(sc.master_seed, StreamLabel.SENSOR).standard_normal(
-        (n, system.obs_dim))
-    eta = np.sqrt(dt) * sc.eta_v * make_rng(
-        sc.master_seed, StreamLabel.VOLTAGE).standard_normal((n, sc.n_neurons))
-    w = np.sqrt(dt * sc.sigma_d) * w_unit
+    # Common random numbers: unit draws, scaled per cell. Drawing each cell's
+    # rows through `_noise_rows` gives the same rows up to rounding, but
+    # builds three streams per cell instead of three per sweep, which made a
+    # 2 x 2 sweep's set-up 13-29% slower.
+    w = NoiseSource(1.0, system.state_dim, sc.master_seed,
+                    StreamLabel.DISTURBANCE).sample_block(n)
+    w *= np.sqrt(dt * sc.sigma_d)
+    e_unit = NoiseSource(1.0, system.obs_dim, sc.master_seed,
+                         StreamLabel.SENSOR).sample_block(n)
 
     shape = (noise_grid.size, pulse_grid.size)
     scn_mae = np.full(shape, np.nan)
@@ -676,6 +683,8 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     for start in range(0, len(grid), size):
         batch = grid[start:start + size]
         cells = [(*nets[a], scales[a], pulse_grid[b]) for a, b in batch]
+        volt = NoiseSource(1.0, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
+        eta = _voltage_rows(volt, n, np.sqrt(dt) * sc.eta_v)
         # A diverging cell's rows overflow; the cell is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
             runs = _lockstep(sc, system, kc, cells, (w, e_unit, eta), (z, zdot, pulse_on))

@@ -6,6 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _refuse_non_finite(params, what: str):
+    for key in params.__dataclass_fields__:
+        value = getattr(params, key)
+        if not math.isfinite(value):
+            raise ValueError(f"{what} {key} = {value:g} must be finite")
+
+
 @dataclass
 class SmdParams:
     """Spring-mass-damper: mass m, spring constant k, damping c."""
@@ -15,6 +22,7 @@ class SmdParams:
     c: float = 0.5
 
     def __post_init__(self):
+        _refuse_non_finite(self, "plant")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.k < 0 or self.c < 0:
@@ -43,6 +51,7 @@ class CartpoleParams:
     d: float = 1.0
 
     def __post_init__(self):
+        _refuse_non_finite(self, "plant")
         if self.m <= 0 or self.M <= 0 or self.L <= 0:
             raise ValueError("masses and length must be positive")
 
@@ -103,10 +112,7 @@ class PulseSchedule:
     magnitude: float
 
     def __post_init__(self):
-        for key, value in (("onset", self.onset), ("duration", self.duration),
-                           ("magnitude", self.magnitude)):
-            if not math.isfinite(value):
-                raise ValueError(f"pulse {key} = {value:g} must be finite")
+        _refuse_non_finite(self, "pulse")
         if self.onset < 0 or self.duration <= 0:
             raise ValueError("pulse onset must be nonnegative and duration positive")
 

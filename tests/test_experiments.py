@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -530,6 +531,9 @@ def test_small_sweep_shapes():
         assert (mat > 0).all()
     assert res.failed_cells == []
     assert res.meta["noise_grid"] == [0.001, 0.01]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"pulse_grid entry {bad:g} must be finite"):
+            run_robustness_sweep(sc, noise_grid=[0.001], pulse_grid=[100.0, bad])
 
 
 def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):
@@ -573,30 +577,22 @@ def _bitwise_equal(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("seed", [2, 9])
-def test_lockstep_cells_match_closed_loop_bitwise(monkeypatch, seed):
-    # Each lockstep cell against `_closed_loop` run alone on that cell's rows,
-    # built as the sweep built them before cells ran in lockstep. Six neurons
-    # make batches of three cells; the 1e-7 sensor noise row diverges
-    # mid-run under the huge pulses, so rows leave their batch at different
-    # steps; neurons are silenced on the way.
-    base = robustness_scenario(seed)
-    sc = replace(base, dt=1e-3, duration=1.0, n_neurons=6,
-                 pulse=replace(base.pulse, onset=0.1, duration=0.8),
-                 silencing=[(0.2, (0, 1)), (0.5, (2,))])
-    noise_grid, pulse_grid = [1e-7, 1e-5, 1e-2], [300.0, 1e308, 900.0, -1.7e308]
+def _match_closed_loop(monkeypatch, sc, noise_grid, pulse_grid):
+    """Run the sweep and require each lockstep cell to equal `_closed_loop`
+    run alone on that cell's rows, each stream's rows drawn in one piece and
+    scaled whole. Returns (sweep result, number of lockstep batches, messages
+    of the cells that diverged)."""
     res, cells, batches = _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid)
-    assert batches == 4 and len(cells) == 12
+    assert len(cells) == len(noise_grid) * len(pulse_grid)
 
     system = experiments._linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
     dec_x, dec_z = experiments._decoders(sc, 2, need_z=True)
     n, dt = sc.n_steps, sc.dt
     z, zdot = sc.reference.sample_grid(n, dt)
-    unit = {label: make_rng(seed, label).standard_normal((n, dim)) for label, dim in (
-        (StreamLabel.DISTURBANCE, 2), (StreamLabel.SENSOR, 1), (StreamLabel.VOLTAGE, 6))}
+    unit = {label: make_rng(sc.master_seed, label).standard_normal((n, dim))
+            for label, dim in ((StreamLabel.DISTURBANCE, 2), (StreamLabel.SENSOR, 1),
+                               (StreamLabel.VOLTAGE, sc.n_neurons))}
     w = np.sqrt(dt * sc.sigma_d) * unit[StreamLabel.DISTURBANCE]
     e_unit = unit[StreamLabel.SENSOR]
     eta = np.sqrt(dt) * sc.eta_v * unit[StreamLabel.VOLTAGE]
@@ -621,9 +617,58 @@ def test_lockstep_cells_match_closed_loop_bitwise(monkeypatch, seed):
             assert _bitwise_equal(positions, want)
             assert _bitwise_equal(final, [x_end, xo_end])
             assert spikes == traj.spikes and len(spikes) > 0
+    return res, batches, messages
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", [2, 9])
+def test_lockstep_cells_match_closed_loop_bitwise(monkeypatch, seed):
+    # Six neurons make batches of three cells, each drawing the voltage rows
+    # again; the 1e-7 sensor noise row diverges mid-run under the huge
+    # pulses, so rows leave their batch at different steps; neurons are
+    # silenced on the way.
+    base = robustness_scenario(seed)
+    sc = replace(base, dt=1e-3, duration=1.0, n_neurons=6,
+                 pulse=replace(base.pulse, onset=0.1, duration=0.8),
+                 silencing=[(0.2, (0, 1)), (0.5, (2,))])
+    noise_grid, pulse_grid = [1e-7, 1e-5, 1e-2], [300.0, 1e308, 900.0, -1.7e308]
+    res, batches, messages = _match_closed_loop(monkeypatch, sc, noise_grid, pulse_grid)
+    assert batches == 4
     assert any(m.startswith("network diverged at step") for m in messages)
     assert any(m.startswith("closed loop diverged") for m in messages)
     assert [msg for _, _, msg in res.failed_cells if "overflow" not in msg] == messages
+
+
+def test_lockstep_cells_match_closed_loop_across_voltage_blocks(monkeypatch):
+    # At N=400 the sweep draws its voltage rows in blocks of 327, so 1200
+    # steps cross three block boundaries; the four cells run in one batch,
+    # and a quarter of the neurons is silenced between two boundaries.
+    base = robustness_scenario(5)
+    sc = replace(base, dt=1e-3, duration=1.2, n_neurons=400,
+                 pulse=replace(base.pulse, onset=0.5, duration=0.3),
+                 silencing=[(0.8, tuple(range(0, 400, 4)))])
+    block = (1 << 20) // (8 * sc.n_neurons)
+    assert block == 327 and sc.n_steps > 3 * block
+    res, batches, messages = _match_closed_loop(monkeypatch, sc, [1e-5, 1e-2],
+                                                [300.0, 900.0])
+    assert batches == 1 and messages == [] and res.failed_cells == []
+
+
+def test_sweep_memory_is_bounded():
+    # A one-cell sweep at N=2000 over 2000 steps crosses 30 voltage blocks of
+    # 65 rows. Held whole, its n x N voltage rows would be 32 MB.
+    base = robustness_scenario(0)
+    sc = replace(base, n_neurons=2000, duration=0.2,
+                 pulse=replace(base.pulse, onset=0.1, duration=0.05))
+    tracemalloc.start()
+    try:
+        res = run_robustness_sweep(sc, noise_grid=[1e-3], pulse_grid=[300.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.failed_cells == [] and np.isfinite(res.scn_mae).all()
+    assert peak < 8e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +849,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("sweep.noise_grid = 0.001, nan", "noise_grid entry nan must be finite"),
             ("sweep.noise_grid = 0.001, inf", "noise_grid entry inf must be finite"),
             ("sweep.noise_grid = 0.001, low", "noise_grid expects a comma-separated"),
-            ("sweep.pulse_grid = 100, big", "pulse_grid expects a comma-separated")):
+            ("sweep.pulse_grid = 100, big", "pulse_grid expects a comma-separated"),
+            ("sweep.pulse_grid = nan, inf", "pulse_grid entry nan must be finite"),
+            ("sweep.pulse_grid = 100, -inf", "pulse_grid entry -inf must be finite")):
         bad_grid = tmp_path / "grid.cfg"
         bad_grid.write_text(line + "\n")
         out = tmp_path / "no_sweep"
@@ -861,7 +908,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("estimate", "initial.state = 1, inf", "x0 = [1.0, inf] must be finite"),
             ("control", "cost.q = inf, 1", "cost Q must be finite"),
             ("cartpole", "cost.r = nan", "cost R must be finite"),
-            ("control", "network.eta_v = 1e300", "eta_v = 1e+300 is too large")):
+            ("control", "network.eta_v = 1e300", "eta_v = 1e+300 is too large"),
+            # Each leak of a sparsity run obeys network.leak's rules, and each
+            # plant parameter must be finite.
+            ("sparsity", "sparsity.lambdas = nan",
+             "sparsity.lambdas entry nan: leak = nan must be finite and nonnegative"),
+            ("sparsity", "sparsity.lambdas = 0, -1",
+             "sparsity.lambdas entry -1: leak = -1 must be finite and nonnegative"),
+            ("sparsity", "sparsity.lambdas = 1e5",
+             "sparsity.lambdas entry 100000: dt*leak = 10 must be below 1"),
+            ("control", "plant.m = nan", "plant m = nan must be finite"),
+            ("control", "plant.k = inf", "plant k = inf must be finite"),
+            ("cartpole", "plant.L = nan", "plant L = nan must be finite")):
         bad = tmp_path / "bad_list.cfg"
         bad.write_text(text + "\n")
         out = tmp_path / "not_made"

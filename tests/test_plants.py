@@ -44,6 +44,9 @@ def test_smd_params_validation():
         SmdParams(m=0.0)
     with pytest.raises(ValueError):
         SmdParams(k=-1.0)
+    for key, value in (("m", np.nan), ("k", np.inf), ("c", -np.inf)):
+        with pytest.raises(ValueError, match=f"plant {key} = {value:g} must be finite"):
+            SmdParams(**{key: value})
 
 
 def test_cartpole_equilibria():
@@ -125,6 +128,10 @@ def test_cartpole_params_validation():
         CartpoleParams(M=0.0)
     with pytest.raises(ValueError):
         CartpoleParams(L=-2.0)
+    for key in ("m", "M", "L", "g", "d"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"plant {key} = {value:g} must be finite"):
+                CartpoleParams(**{key: value})
 
 
 def test_pulse_half_open_interval():

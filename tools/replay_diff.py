@@ -15,6 +15,9 @@ side by side, with BLAS pinned to one thread):
   1e-7 sensor-noise cell diverges mid-run, through the runner (six neurons,
   so the cells run in three batches) and through the CLI (the default
   silencing at 10 s);
+- a 3 x 3 sweep of six neurons over 22 000 steps through the runner: its
+  three batches each draw their voltage rows in blocks of 21 845, so every
+  batch crosses a block boundary;
 - a 0.6 s cartpole run with a 50 N pulse and a third of the neurons silenced
   during it, the pole kept up, through the runner (so the nonlinear plant is
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
@@ -125,6 +128,11 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
                                   duration=0.8),
                     silencing=[(0.2, (0, 1)), (0.5, (2,))]),
             SWEEP_NOISE, SWEEP_PULSE)))
+        cases.append((f"sweep-blocks-s{seed}", lambda s=seed: ex.run_robustness_sweep(
+            replace(ex.robustness_scenario(s), duration=2.2, n_neurons=6,
+                    pulse=replace(ex.robustness_scenario(s).pulse, onset=1.0,
+                                  duration=0.5)),
+            SWEEP_NOISE, (300.0, 900.0, -600.0))))
         cases.append((f"cli-sweep-silencing-s{seed}", cli_run(
             "sweep-silencing", seed, ["sweep"],
             f"sweep.noise_grid = {', '.join(map(repr, SWEEP_NOISE))}\n"
