@@ -8,14 +8,13 @@ trajectory).
 """
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import experiments as ex
 from .config import ConfigError, _want_tuple, apply_config, load_config
 from .scn import NetworkDivergedError, save_weights
+from .state_space import _reraise
 
 _RUN_HELP = {
     "estimate": "spiking state estimation of the noisy spring-mass-damper",
@@ -112,19 +111,14 @@ def run(argv=None) -> int:
                                   f"not by {command}")
             lists[key] = _want_tuple(key, cfg.pop(key))
     noise, pulse, lambdas = (lists.get(key) for key in _LIST_KEYS)
-    for value in noise or ():  # each is a cell's sigma_n, and obeys its rule
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"sweep.noise_grid entry {value:g} must be finite "
-                              "and positive, like noise.sigma_n")
-    for value in pulse or ():
-        if not math.isfinite(value):
-            raise ConfigError(f"sweep.pulse_grid entry {value:g} must be finite")
+    # The runners check their own lists; the checks run before any output.
+    if command == "sweep":
+        with _reraise("sweep.", ConfigError):
+            ex._sweep_grids(noise, pulse)
     sc = _build_scenario(command, args, cfg)
-    for value in lambdas or ():  # each is a run's leak, and obeys its rules
-        try:
-            replace(sc, leak=value)
-        except ValueError as err:
-            raise ConfigError(f"sparsity.lambdas entry {value:g}: {err}") from None
+    if command == "sparsity":
+        with _reraise("sparsity.", ConfigError):
+            runs = ex._sparsity_runs(sc, ex.DEFAULT_LAMBDAS if lambdas is None else lambdas)
     out = Path(args.out) if args.out else Path("out") / command
     out.mkdir(parents=True, exist_ok=True)
 
@@ -135,13 +129,11 @@ def run(argv=None) -> int:
     elif command == "cartpole":
         _write_run(out, sc, ex.run_cartpole(sc))
     elif command == "sparsity":
-        if lambdas is None:
-            lambdas = ex.DEFAULT_LAMBDAS
-        result = ex.run_sparsity(sc, lambdas)
-        for lam, traj in zip(result.lambdas, result.trajectories):
-            sub = out / f"lambda_{lam:g}"
+        result = ex.run_sparsity(sc, [run.leak for run in runs])
+        for run_sc, traj in zip(runs, result.trajectories):
+            sub = out / f"lambda_{run_sc.leak:g}"
             sub.mkdir(parents=True, exist_ok=True)
-            _write_run(sub, replace(sc, leak=lam), traj)
+            _write_run(sub, run_sc, traj)
         ex.write_summary({
             "scenario": sc.name,
             "master_seed": sc.master_seed,
@@ -166,25 +158,17 @@ def run(argv=None) -> int:
             "artifact_choices": result.meta["artifact_choices"],
         }, out / "summary.json")
         _write_weights(out, sc)
-    elif command == "export-weights":
+    else:  # export-weights
         _write_weights(out, sc)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
     return 0
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except ConfigError as err:
+    except (NetworkDivergedError, ex.PoleDroppedError, ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (NetworkDivergedError, ex.PoleDroppedError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ConfigError) else 1  # a usage error, or a run's
 
 
 if __name__ == "__main__":

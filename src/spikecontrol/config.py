@@ -12,6 +12,7 @@ import numpy as np
 from .experiments import DEFAULT_SILENCING, Scenario, stair_reference
 from .plants import CartpoleParams, PulseSchedule, SmdParams
 from .riccati import LqrCost
+from .state_space import _reraise
 
 
 class ConfigError(ValueError):
@@ -37,20 +38,16 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    try:
+    with _reraise(f"cannot read config file {path}: ", ConfigError, OSError):
         with open(path) as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return parse_config(text)
+            return parse_config(fh.read())
 
 
 def _parse_value(text: str, lineno: int):
     if text == "":
         raise ConfigError(f"line {lineno}: missing value after '='")
     if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        return tuple(_parse_scalar(p) for p in parts if p != "")
+        return tuple(_parse_scalar(p.strip()) for p in text.split(",") if p.strip())
     return _parse_scalar(text)
 
 
@@ -60,42 +57,38 @@ def _parse_scalar(text: str):
         return True
     if lowered in ("false", "no", "off"):
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
     return text
+
+
+# Keys that set one scenario field each; the seed and n_neurons are integers.
+_FIELDS = {"seed": "master_seed", "network.n_neurons": "n_neurons",
+           "network.gamma_x": "gamma_x", "network.gamma_z": "gamma_z",
+           "network.leak": "leak", "network.eta_v": "eta_v", "noise.sigma_d": "sigma_d",
+           "noise.sigma_n": "sigma_n", "integration.dt": "dt",
+           "integration.duration": "duration"}
+_PULSE_KEYS = ("pulse.onset", "pulse.duration", "pulse.magnitude")
 
 
 def apply_config(sc: Scenario, cfg: dict) -> Scenario:
     """Return a scenario with the config mapping applied; rejects unknown keys."""
     updates = {}
-    plant_fields = {}
+    fields = {"plant": {}, "pulse": {}}  # the fields of a new plant and pulse
     cost_q = cost_r = None
     ref_times = ref_positions = None
-    pulse_fields = {}
     for key, value in cfg.items():
-        if key == "seed":
-            updates["master_seed"] = _want_int(key, value)
-        elif key == "network.n_neurons":
-            updates["n_neurons"] = _want_int(key, value)
-        elif key in ("network.gamma_x", "network.gamma_z", "network.leak",
-                     "network.eta_v"):
-            updates[key.split(".", 1)[1]] = _want_float(key, value)
-        elif key in ("noise.sigma_d", "noise.sigma_n"):
-            updates[key.split(".", 1)[1]] = _want_float(key, value)
-        elif key == "integration.dt":
-            updates["dt"] = _want_float(key, value)
-        elif key == "integration.duration":
-            updates["duration"] = _want_float(key, value)
+        if key in _FIELDS:
+            want = _want_int if key in ("seed", "network.n_neurons") else _want_float
+            updates[_FIELDS[key]] = want(key, value)
         elif key == "initial.state":
             updates["x0"] = np.asarray(_want_tuple(key, value), dtype=float)
-        elif key.startswith("plant."):
-            plant_fields[key.split(".", 1)[1]] = _want_float(key, value)
+        elif key.startswith("plant.") or key in _PULSE_KEYS:
+            section, _, name = key.partition(".")
+            fields[section][name] = _want_float(key, value)
         elif key == "cost.q":
             cost_q = np.diag(np.asarray(_want_tuple(key, value), dtype=float))
         elif key == "cost.r":
@@ -104,8 +97,6 @@ def apply_config(sc: Scenario, cfg: dict) -> Scenario:
             ref_times = _want_tuple(key, value)
         elif key == "reference.positions":
             ref_positions = _want_tuple(key, value)
-        elif key in ("pulse.onset", "pulse.duration", "pulse.magnitude"):
-            pulse_fields[key.split(".", 1)[1]] = _want_float(key, value)
         elif key == "silencing.enabled":
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} expects true/false, got {value!r}")
@@ -115,7 +106,7 @@ def apply_config(sc: Scenario, cfg: dict) -> Scenario:
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    plant = sc.plant
+    plant, plant_fields, pulse_fields = sc.plant, fields["plant"], fields["pulse"]
     if plant_fields:
         valid = set(type(plant).__dataclass_fields__)
         bad = sorted(set(plant_fields) - valid)
@@ -123,23 +114,16 @@ def apply_config(sc: Scenario, cfg: dict) -> Scenario:
             raise ConfigError(
                 f"plant.{bad[0]} is not a {type(plant).__name__} field "
                 f"(valid: {', '.join(sorted(valid))})")
-        try:
+        with _reraise("bad plant value: ", ConfigError):
             plant = replace(plant, **plant_fields)
-        except ValueError as err:
-            raise ConfigError(f"bad plant value: {err}") from None
         updates["plant"] = plant
 
-    if (cost_q is None) != (cost_r is None):
-        base = sc.cost
-        if base is None:
+    if cost_q is not None or cost_r is not None:
+        if sc.cost is None and (cost_q is None or cost_r is None):
             raise ConfigError("cost.q and cost.r must be given together")
-        cost_q = base.Q if cost_q is None else cost_q
-        cost_r = float(base.R[0, 0]) if cost_r is None else cost_r
-    if cost_q is not None:
-        try:
-            updates["cost"] = LqrCost(Q=cost_q, R=[[cost_r]])
-        except ValueError as err:
-            raise ConfigError(f"bad cost value: {err}") from None
+        with _reraise("bad cost value: ", ConfigError):  # the unset one stays as it was
+            updates["cost"] = LqrCost(Q=sc.cost.Q if cost_q is None else cost_q,
+                                      R=sc.cost.R if cost_r is None else [[cost_r]])
 
     if (ref_times is None) != (ref_positions is None):
         raise ConfigError("reference.times and reference.positions must be given together")
@@ -147,28 +131,16 @@ def apply_config(sc: Scenario, cfg: dict) -> Scenario:
         state_dim = 4 if isinstance(plant, CartpoleParams) else 2
         if len(ref_times) != len(ref_positions):
             raise ConfigError("reference.times and reference.positions differ in length")
-        try:
+        with _reraise("bad reference: ", ConfigError):
             updates["reference"] = stair_reference(ref_positions, ref_times, state_dim)
-        except ValueError as err:
-            raise ConfigError(f"bad reference: {err}") from None
 
     if pulse_fields:
-        base = sc.pulse
-        kwargs = {
-            "onset": base.onset if base is not None else 2.5,
-            "duration": base.duration if base is not None else 0.2,
-            "magnitude": base.magnitude if base is not None else 0.0,
-        }
-        kwargs.update(pulse_fields)
-        try:
-            updates["pulse"] = PulseSchedule(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"bad pulse value: {err}") from None
+        with _reraise("bad pulse value: ", ConfigError):
+            base = sc.pulse or PulseSchedule(onset=2.5, duration=0.2, magnitude=0.0)
+            updates["pulse"] = replace(base, **pulse_fields)
 
-    try:
+    with _reraise("bad config value: ", ConfigError, (ValueError, TypeError)):
         return replace(sc, **updates)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad config value: {err}") from None
 
 
 def _want_int(key, value):
@@ -186,11 +158,7 @@ def _want_float(key, value):
 def _want_tuple(key, value):
     if value == ():
         raise ConfigError(f"{key} is an empty list; give at least one number")
-    if isinstance(value, tuple):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in value):
-            raise ConfigError(f"{key} expects a comma-separated list of numbers")
-        return tuple(float(v) for v in value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
-    raise ConfigError(f"{key} expects a comma-separated list of numbers")
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{key} expects a comma-separated list of numbers")
+    return tuple(float(v) for v in values)

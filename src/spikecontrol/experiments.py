@@ -29,7 +29,8 @@ from .plants import (CARTPOLE_UP, CartpoleParams, PulseSchedule, SmdParams,
 from .riccati import LqrCost, kalman_gain, lqr_gain
 from .scn import (NetworkDivergedError, build_controller, build_estimator,
                   new_state, network_step, sample_decoder, silence)
-from .state_space import LinearSystem, NoiseSource, StreamLabel, make_rng
+from .state_space import (LinearSystem, NoiseSource, StreamLabel, _require_finite,
+                          _reraise, make_rng)
 
 
 class PoleDroppedError(RuntimeError):
@@ -64,9 +65,8 @@ class ReferenceSchedule:
         if self.times.ndim != 1 or len(self.times) != len(self.values):
             raise ValueError("need one value row per schedule time")
         for key, value in (("times", self.times), ("values", self.values)):
-            bad = value[~np.isfinite(value)]
-            if bad.size:
-                raise ValueError(f"reference {key} must be finite, got {bad[0]:g}")
+            _require_finite(value, f"reference {key}",
+                            message="{name} must be {rule}, got {bad:g}")
         if len(self.times) > 1 and np.diff(self.times).min() <= 0:
             raise ValueError("schedule times must be strictly increasing")
 
@@ -123,14 +123,20 @@ class Scenario:
         if self.gamma_z is not None:
             positive.append("gamma_z")
         for key in positive + ["sigma_d", "eta_v", "leak"]:
-            value = getattr(self, key)
-            sign_ok = value > 0 if key in positive else value >= 0
-            if not (math.isfinite(value) and sign_ok):
-                kind = "positive" if key in positive else "nonnegative"
-                raise ValueError(f"{key} = {value:g} must be finite and {kind}")
-        if not math.isfinite(self.eta_v * self.eta_v):
-            raise ValueError(f"eta_v = {self.eta_v:g} is too large: its square, the "
-                             "voltage-noise variance, is not finite")
+            _require_finite(getattr(self, key), key,
+                            "positive" if key in positive else "nonnegative")
+        # Values whose derived quantities must be finite too. A controller's
+        # target decoder has norm gamma_z, or gamma_x when that is unset.
+        norms = [self.gamma_x] + ([self.gamma_z or self.gamma_x] if self.cost else [])
+        for key, derived, what in (
+                ("eta_v", self.eta_v * self.eta_v,
+                 "its square, the voltage-noise variance, is"),
+                ("duration", self.duration / self.dt, "its step count, duration / dt, is"),
+                ("gamma_z" if max(norms) > self.gamma_x else "gamma_x",
+                 0.5 * sum(g * g for g in norms),
+                 "the spike thresholds, half the summed squared decoder norms, are")):
+            _require_finite(derived, f"{key} = {getattr(self, key):g}",
+                            message="{name} is too large: " + what + " not finite")
         if self.n_steps < 1:
             raise ValueError(f"duration = {self.duration:g} is under half of dt = "
                              f"{self.dt:g}, so the run has no steps")
@@ -151,8 +157,7 @@ class Scenario:
         if self.x0.size != state_dim:
             raise ValueError(f"x0 has {self.x0.size} entries, but the "
                              f"{type(self.plant).__name__} state has {state_dim}")
-        if not np.isfinite(self.x0).all():
-            raise ValueError(f"x0 = {self.x0.tolist()} must be finite")
+        _require_finite(self.x0, "x0", message="{name} = {all} must be {rule}")
         if self.cost is not None:
             for key, dim in (("Q", state_dim), ("R", B.shape[1])):
                 shape = getattr(self.cost, key).shape
@@ -163,8 +168,8 @@ class Scenario:
             self.silencing = sorted(
                 (float(t), tuple(int(i) for i in ids)) for t, ids in self.silencing
             )
-            if not all(math.isfinite(t) for t, _ in self.silencing):
-                raise ValueError("silencing times must be finite")
+            _require_finite([t for t, _ in self.silencing], "silencing times",
+                            message="{name} must be {rule}")
             ids = [i for _, block in self.silencing for i in block]
             if ids and not (0 <= min(ids) and max(ids) < self.n_neurons):
                 raise ValueError(f"silencing ids {min(ids)}..{max(ids)} are out of "
@@ -605,17 +610,40 @@ def run_cartpole(sc: Scenario) -> Trajectory:
     return _closed_loop(sc, net, _noise_rows(sc, net[0]), _reference_rows(sc))[0]
 
 
+def _sparsity_runs(sc: Scenario, lambdas) -> list:
+    """The scenario at each leak of `lambdas`; a leak `Scenario` refuses is named."""
+    runs = []
+    for lam in map(float, lambdas):
+        with _reraise(f"lambdas entry {lam:g}: "):
+            runs.append(replace(sc, leak=lam))
+    if not runs:
+        raise ValueError("lambdas must be nonempty")
+    return runs
+
+
 def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> SparsityResult:
     """Re-run the sparsity scenario once per leak value and count spikes."""
-    lambdas = list(lambdas)
-    if not lambdas:
-        raise ValueError("lambdas must be nonempty")
-    trajectories = [run_control(replace(sc, leak=float(lam))) for lam in lambdas]
+    runs = _sparsity_runs(sc, lambdas)
+    trajectories = [run_control(run) for run in runs]
     return SparsityResult(
-        lambdas=[float(lam) for lam in lambdas],
+        lambdas=[run.leak for run in runs],
         spike_counts=[t.spike_count for t in trajectories],
         trajectories=trajectories,
     )
+
+
+def _sweep_grids(noise_grid, pulse_grid):
+    """The sweep's (noise, pulse) grids as arrays, defaults for None; names a bad entry."""
+    noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
+                            dtype=float)
+    pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
+                            dtype=float)
+    if noise_grid.size == 0 or pulse_grid.size == 0:
+        raise ValueError("grids must be nonempty")
+    _require_finite(noise_grid, "noise_grid", "positive",
+                    "{name} entry {bad:g} must be {rule}, like noise.sigma_n")
+    _require_finite(pulse_grid, "pulse_grid", message="{name} entry {bad:g} must be {rule}")
+    return noise_grid, pulse_grid
 
 
 def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> SweepResult:
@@ -637,15 +665,7 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
         raise ValueError("sweep needs a cost, a reference and a pulse template")
     if not isinstance(sc.plant, SmdParams):
         raise ValueError("the sweep integrates the linear plant")
-    noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
-                            dtype=float)
-    pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
-                            dtype=float)
-    if noise_grid.size == 0 or pulse_grid.size == 0:
-        raise ValueError("grids must be nonempty")
-    bad = pulse_grid[~np.isfinite(pulse_grid)]
-    if bad.size:
-        raise ValueError(f"pulse_grid entry {bad[0]:g} must be finite")
+    noise_grid, pulse_grid = _sweep_grids(noise_grid, pulse_grid)
 
     system = _linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)

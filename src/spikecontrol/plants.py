@@ -5,12 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _refuse_non_finite(params, what: str):
-    for key in params.__dataclass_fields__:
-        value = getattr(params, key)
-        if not math.isfinite(value):
-            raise ValueError(f"{what} {key} = {value:g} must be finite")
+from .state_space import _require_finite
 
 
 @dataclass
@@ -22,7 +17,8 @@ class SmdParams:
     c: float = 0.5
 
     def __post_init__(self):
-        _refuse_non_finite(self, "plant")
+        for key, value in vars(self).items():
+            _require_finite(value, f"plant {key}")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.k < 0 or self.c < 0:
@@ -51,7 +47,8 @@ class CartpoleParams:
     d: float = 1.0
 
     def __post_init__(self):
-        _refuse_non_finite(self, "plant")
+        for key, value in vars(self).items():
+            _require_finite(value, f"plant {key}")
         if self.m <= 0 or self.M <= 0 or self.L <= 0:
             raise ValueError("masses and length must be positive")
 
@@ -112,7 +109,8 @@ class PulseSchedule:
     magnitude: float
 
     def __post_init__(self):
-        _refuse_non_finite(self, "pulse")
+        for key, value in vars(self).items():
+            _require_finite(value, f"pulse {key}")
         if self.onset < 0 or self.duration <= 0:
             raise ValueError("pulse onset must be nonnegative and duration positive")
 

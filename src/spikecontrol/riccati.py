@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state_space import _require_finite
+
 
 @dataclass
 class LqrCost:
@@ -21,12 +23,9 @@ class LqrCost:
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         for key, value in (("Q", self.Q), ("R", self.R)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"cost {key} must be finite, got {value.tolist()}")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        if not np.allclose(self.R, self.R.T, atol=1e-12):
-            raise ValueError("R must be symmetric")
+            _require_finite(value, f"cost {key}", message="{name} must be {rule}, got {all}")
+            if not np.allclose(value, value.T, atol=1e-12):
+                raise ValueError(f"{key} must be symmetric")
         if np.linalg.eigvalsh(self.Q).min() < -1e-12:
             raise ValueError("Q must be positive semidefinite")
         if np.linalg.eigvalsh(self.R).min() <= 0:

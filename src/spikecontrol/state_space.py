@@ -1,5 +1,7 @@
 """Linear state-space models and seeded noise streams."""
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -19,6 +21,29 @@ class StreamLabel(IntEnum):
     DECODER = 3
 
 
+def _require_finite(value, name: str, sign: str = None,
+                    message: str = "{name} = {bad:g} must be {rule}"):
+    """Raise ValueError unless every entry of `value` is finite and, for a `sign` of
+    "positive" or "nonnegative", of that sign. `message` may show the `name`, the
+    first bad entry `bad`, the whole value as a list `all` and the broken `rule`."""
+    values = np.asarray(value, dtype=float)
+    for bad in values.ravel().tolist():  # Python floats: ufuncs cost more on so few
+        if not (math.isfinite(bad) and (bad > 0 if sign == "positive" else
+                                        bad >= 0 if sign == "nonnegative" else True)):
+            rule = "finite" if sign is None else f"finite and {sign}"
+            raise ValueError(message.format(name=name, bad=bad, all=values.tolist(),
+                                            rule=rule))
+
+
+@contextmanager
+def _reraise(prefix: str, error=ValueError, catch=ValueError):
+    """Re-raise the block's `catch` errors as `error`, the message after `prefix`."""
+    try:
+        yield
+    except catch as err:
+        raise error(f"{prefix}{err}") from None
+
+
 def make_rng(seed: int, label: StreamLabel) -> np.random.Generator:
     """Return the generator for stream `label` of master seed `seed`."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(label))))
@@ -34,8 +59,8 @@ class NoiseSource:
 
     def __init__(self, variance: float, dim: int, seed: int, label: StreamLabel):
         variance = float(variance)
-        if not 0 <= variance < np.inf:
-            raise ValueError(f"noise variance must be finite and nonnegative, got {variance}")
+        _require_finite(variance, "noise variance", "nonnegative",
+                        "{name} must be {rule}, got {all}")
         self.dim = int(dim)
         self._scale = np.sqrt(variance)
         self._rng = make_rng(seed, label)

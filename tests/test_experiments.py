@@ -19,7 +19,7 @@ from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           load_config, load_weights, lqr_gain, make_rng,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
-                          run_estimation, run_robustness_sweep,
+                          run_estimation, run_robustness_sweep, run_sparsity,
                           sample_decoder, smd_control_scenario, smd_system,
                           sparsity_scenario, stair_reference, summarize,
                           write_spikes, write_summary, write_sweep_matrix,
@@ -195,6 +195,22 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="eta_v = 1e[+]300 is too large: its square"):
         replace(ctrl, eta_v=1e300)
     assert replace(ctrl, eta_v=1e150).eta_v == 1e150
+    # So must the step count and the spike thresholds, half the summed squared
+    # decoder norms; a controller's unset gamma_z counts as gamma_x.
+    for sc, key, value, message in (
+            (ctrl, "duration", 1e308, "duration = 1e[+]308 is too large: its step count"),
+            (base, "duration", 1e308, "duration = 1e[+]308 is too large: its step count"),
+            (ctrl, "gamma_x", 1e160, "gamma_x = 1e[+]160 is too large: the spike thresholds"),
+            (ctrl, "gamma_z", 1e160, "gamma_z = 1e[+]160 is too large: the spike thresholds"),
+            (base, "gamma_x", 1e160, "gamma_x = 1e[+]160 is too large: the spike thresholds"),
+            (replace(ctrl, gamma_z=None), "gamma_x", 1e154,
+             "gamma_x = 1e[+]154 is too large: the spike thresholds")):
+        with pytest.raises(ValueError, match=message):
+            replace(sc, **{key: value})
+    assert replace(base, gamma_x=1e154).gamma_x == 1e154
+    # Each leak of a sparsity run obeys the leak rules, named by its entry.
+    with pytest.raises(ValueError, match="lambdas entry -1: leak = -1 must be finite"):
+        run_sparsity(sparsity_scenario(0), [-1.0, 0.0])
 
 
 def test_scenario_sorts_silencing():
@@ -534,6 +550,11 @@ def test_small_sweep_shapes():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"pulse_grid entry {bad:g} must be finite"):
             run_robustness_sweep(sc, noise_grid=[0.001], pulse_grid=[100.0, bad])
+    # Each noise entry is a cell's sigma_n, refused before any gain is solved.
+    for bad in (np.nan, 0.0, -1e-3):
+        with pytest.raises(ValueError,
+                           match=f"noise_grid entry {bad:g} must be finite and positive"):
+            run_robustness_sweep(sc, noise_grid=[0.001, bad], pulse_grid=[100.0])
 
 
 def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):
@@ -809,7 +830,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             (["sparsity", "--duration", "0.00004"], "duration = 4e-05 is under half"),
             (["estimate", "--duration", "0.0004"], "duration = 0.0004 is under half"),
             (["sweep", "--duration", "0.00004"], "duration = 4e-05 is under half"),
-            (["estimate", "--seed", "-1"], "master_seed = -1 must be nonnegative")):
+            (["estimate", "--seed", "-1"], "master_seed = -1 must be nonnegative"),
+            # A duration whose step count is not finite.
+            (["control", "--duration", "1e308"], "duration = 1e+308 is too large"),
+            (["estimate", "--duration", "1e308"], "duration = 1e+308 is too large")):
         out = tmp_path / "rejected"
         assert cli_main(argv + ["--out", str(out)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -919,7 +943,20 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
              "sparsity.lambdas entry 100000: dt*leak = 10 must be below 1"),
             ("control", "plant.m = nan", "plant m = nan must be finite"),
             ("control", "plant.k = inf", "plant k = inf must be finite"),
-            ("cartpole", "plant.L = nan", "plant L = nan must be finite")):
+            ("cartpole", "plant.L = nan", "plant L = nan must be finite"),
+            # A duration or decoder norm too large for its derived values.
+            ("control", "integration.duration = 1e308",
+             "duration = 1e+308 is too large: its step count, duration / dt, is not finite"),
+            ("cartpole", "integration.duration = 1e308", "duration = 1e+308 is too large"),
+            ("control", "network.gamma_x = 1e160",
+             "gamma_x = 1e+160 is too large: the spike thresholds"),
+            ("control", "network.gamma_z = 1e160",
+             "gamma_z = 1e+160 is too large: the spike thresholds"),
+            ("estimate", "network.gamma_x = 1e160", "gamma_x = 1e+160 is too large"),
+            ("export-weights", "network.gamma_z = 1e160", "gamma_z = 1e+160 is too large"),
+            # The default leaks are checked too: at dt = 0.1 a leak of 10 is unstable.
+            ("sparsity", "integration.dt = 0.1",
+             "sparsity.lambdas entry 10: dt*leak = 1 must be below 1")):
         bad = tmp_path / "bad_list.cfg"
         bad.write_text(text + "\n")
         out = tmp_path / "not_made"

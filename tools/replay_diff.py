@@ -23,9 +23,14 @@ side by side, with BLAS pinned to one thread):
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
   with the same pulse set by `pulse.*` keys through the CLI;
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
-  `estimate`, a 1 s `sparsity`, and `export-weights` for each of its five
-  `scenario` values, each writing its output directory (so all six
-  subcommands, and every network mode `weights.json` can hold, are covered);
+  `estimate`, a 1 s `sparsity` at the default leaks and at leaks set by
+  `sparsity.lambdas`, and `export-weights` for each of its five `scenario`
+  values, each writing its output directory (so all six subcommands, and
+  every network mode `weights.json` can hold, are covered);
+- once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
+  of some subcommand: its exit code, its full stderr text and whether it made
+  the output directory must be equal, so a moved input rule cannot reword a
+  message or start writing output unnoticed;
 - unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
   length (A3 estimation, A4 control seeds 0-9, A5 silencing, A6 cartpole,
   A7's 5 x 5 sweep, A8's three leaks) and the equilibrium-quiet control run.
@@ -39,8 +44,10 @@ worker, 2 on a usage error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import filecmp
+import io
 import json
 import os
 import subprocess
@@ -55,6 +62,83 @@ ROOT = Path(__file__).resolve().parent.parent
 # The sweep case's axes: the 1e-7 row diverges under the 1e308 pulse.
 SWEEP_NOISE = (1e-7, 1e-5, 0.01)
 SWEEP_PULSE = (300.0, 1e308, 900.0)
+# Bad inputs, as (command line, config file text or None); MISSING stands for
+# a config file that does not exist.
+REFUSALS = [
+    ("estimate --config MISSING", None),
+    ("estimate", "bogus.key = 1"),
+    ("control --neurons 20 --duration 1", None),
+    ("control", "initial.state = 1"),
+    ("cartpole", "initial.state = 1"),
+    ("control --neurons 0", None),
+    ("estimate --dt 0.5", None),
+    ("control --duration inf", None),
+    ("control --duration 0.0004", None),
+    ("cartpole --duration 0.00004", None),
+    ("sparsity --duration 0.00004", None),
+    ("estimate --duration 0.0004", None),
+    ("sweep --duration 0.00004", None),
+    ("estimate --seed -1", None),
+    *(("estimate", f"seed = {value}") for value in ("1.5", "true", "abc")),
+    *(("control", line) for line in (
+        "noise.sigma_n = 0", "noise.sigma_n = -0.1", "noise.sigma_d = -0.1",
+        "network.eta_v = -1e-5", "network.leak = -0.1", "network.gamma_x = 0",
+        "network.gamma_z = 0", "integration.duration = inf", "noise.sigma_d = nan",
+        "network.eta_v = nan", "network.leak = nan", "network.gamma_x = nan")),
+    *(("sweep", line) for line in (
+        "sweep.noise_grid = 0, -0.01", "sweep.noise_grid = -0.01",
+        "sweep.noise_grid = 0.001, nan", "sweep.noise_grid = 0.001, inf",
+        "sweep.noise_grid = 0.001, low", "sweep.pulse_grid = 100, big",
+        "sweep.pulse_grid = nan, inf", "sweep.pulse_grid = 100, -inf",
+        "sweep.noise_grid = ,", "sweep.pulse_grid = ,", "sparsity.lambdas = 0, 1",
+        "cost.q = 1, 1, 1", "pulse.onset = nan")),
+    ("sparsity", "sparsity.lambdas = ,"),
+    ("control", "reference.times = ,\nreference.positions = ,"),
+    ("control", "initial.state = ,"),
+    ("control", "cost.q = ,"),
+    ("estimate", "cost.q = 1, 1\ncost.r = 1"),
+    ("export-weights", "scenario = estimation\ncost.q = 1, 1\ncost.r = 1"),
+    ("estimate", "silencing.enabled = true\nnetwork.n_neurons = 50"),
+    ("estimate", "pulse.magnitude = 100"),
+    ("estimate", "reference.times = 1\nreference.positions = 2"),
+    ("estimate", "network.gamma_z = 0.5"),
+    ("export-weights", "scenario = estimation\nnetwork.gamma_z = 0.5"),
+    ("control", "sweep.noise_grid = 0.01"),
+    ("control", "sparsity.lambdas = 5"),
+    ("estimate", "sweep.pulse_grid = 100, 200"),
+    ("cartpole", "sweep.noise_grid = 0.01"),
+    ("export-weights", "sparsity.lambdas = 1"),
+    ("sparsity", "sweep.noise_grid = 0.01"),
+    ("control", "cost.q = 1, 1, 1"),
+    ("cartpole", "cost.q = 1, 1"),
+    ("export-weights", "scenario = cartpole\ncost.q = 1, 1"),
+    ("export-weights", "scenario = nonesuch"),
+    ("control", "pulse.onset = nan"),
+    ("control", "pulse.magnitude = nan\npulse.onset = 0.1"),
+    ("cartpole", "pulse.duration = inf"),
+    ("control", "reference.positions = nan, 1\nreference.times = 1, 2"),
+    ("control", "reference.times = 0.05, nan\nreference.positions = 1, 2"),
+    ("control", "initial.state = nan, 0"),
+    ("estimate", "initial.state = 1, inf"),
+    ("control", "cost.q = inf, 1"),
+    ("cartpole", "cost.r = nan"),
+    ("control", "network.eta_v = 1e300"),
+    ("sparsity", "sparsity.lambdas = nan"),
+    ("sparsity", "sparsity.lambdas = 0, -1"),
+    ("sparsity", "sparsity.lambdas = 1e5"),
+    ("control", "plant.m = nan"),
+    ("control", "plant.k = inf"),
+    ("cartpole", "plant.L = nan"),
+]
+
+
+@dataclasses.dataclass
+class Refusal:
+    """What the CLI did with a bad input."""
+
+    exit_code: int
+    stderr: str
+    made_output: bool
 
 
 def _source_dir(path: Path) -> Path:
@@ -117,6 +201,24 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             (cli_dir / f"{name}-s{seed}.exit").write_text(f"{code}\n")
         return thunk
 
+    def refusal(i, argv, config):
+        # Paths in a message are shown relative to the case directory, which
+        # differs between the two trees.
+        def thunk():
+            work = cli_dir.parent / "refusals"
+            work.mkdir(exist_ok=True)
+            args = [str(work / "missing.cfg") if a == "MISSING" else a
+                    for a in argv.split()] + ["--out", str(work / f"out{i}")]
+            if config is not None:
+                (work / f"case{i}.cfg").write_text(config + "\n")
+                args += ["--config", str(work / f"case{i}.cfg")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(args)
+            return Refusal(code, err.getvalue().replace(str(work), "."),
+                           (work / f"out{i}").exists())
+        return thunk
+
     cases = []
     for seed in seeds:
         for workload in WORKLOADS.values():
@@ -156,10 +258,15 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
                       cli_run("estimate", seed, ["estimate", "--duration", "10"])))
         cases.append((f"cli-sparsity-s{seed}",
                       cli_run("sparsity", seed, ["sparsity", "--duration", "1"])))
+        cases.append((f"cli-sparsity-lambdas-s{seed}", cli_run(
+            "sparsity-lambdas", seed, ["sparsity", "--duration", "1"],
+            "sparsity.lambdas = 0.5, 2, 20\n")))
         for scenario in cli._EXPORT_SCENARIOS:
             cases.append((f"cli-export-{scenario}-s{seed}",
                           cli_run(f"export-{scenario}", seed, ["export-weights"],
                                   f"scenario = {scenario}\n")))
+    for i, (argv, config) in enumerate(REFUSALS):
+        cases.append((f"refusal-{i:02d}", refusal(i, argv, config)))
     if acceptance:
         cases.append(("A3-estimation",
                       lambda: ex.run_estimation(ex.estimation_scenario(0))))
