@@ -91,7 +91,7 @@ def _write_run(out: Path, sc, traj):
     ex.write_trajectory(traj, out / "trajectory.csv", stride=stride)
     ex.write_spikes(traj, out / "spikes.csv")
     ex.write_summary(summary, out / "summary.json")
-    _write_weights(out, sc)
+    save_weights(traj.weights, out / "weights.json")
 
 
 def _write_weights(out: Path, sc):

@@ -27,8 +27,8 @@ from .lqg import LqgState, estimator_step, lqg_step
 from .plants import (CARTPOLE_UP, CartpoleParams, PulseSchedule, SmdParams,
                      cartpole_dynamics, cartpole_linearize_up, smd_system)
 from .riccati import LqrCost, kalman_gain, lqr_gain
-from .scn import (NetworkDivergedError, build_controller, build_estimator,
-                  new_state, network_step, sample_decoder, silence)
+from .scn import (NetworkDivergedError, ScnWeights, build_controller,
+                  build_estimator, new_state, network_step, sample_decoder, silence)
 from .state_space import (LinearSystem, NoiseSource, StreamLabel, _require_finite,
                           _reraise, make_rng)
 
@@ -254,6 +254,7 @@ class Trajectory:
     spikes: list = field(default_factory=list)
     silence_events: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    weights: ScnWeights = None  # the network the runner stepped
 
     @property
     def spike_count(self) -> int:
@@ -410,7 +411,7 @@ def run_estimation(sc: Scenario) -> Trajectory:
         x = x + dt * A.dot(x) + w[i]
     return Trajectory(time=np.arange(n) * dt, x=X, y=Y, x_hat=XH,
                       oracle_x_hat=OXH, spikes=list(st.spike_log),
-                      meta=_meta(sc))
+                      meta=_meta(sc), weights=weights)
 
 
 def _closed_loop(sc: Scenario, net, noise, reference):
@@ -495,7 +496,8 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     traj = Trajectory(time=time, x=XS[:n], y=Y, x_hat=XH, oracle_x_hat=OXH,
                       z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n],
                       spikes=list(st.spike_log),
-                      silence_events=list(st.silence_log), meta=_meta(sc))
+                      silence_events=list(st.silence_log), meta=_meta(sc),
+                      weights=weights)
     return traj, XS[n], OS[n]
 
 

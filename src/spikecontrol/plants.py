@@ -19,10 +19,8 @@ class SmdParams:
     def __post_init__(self):
         for key, value in vars(self).items():
             _require_finite(value, f"plant {key}")
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.k < 0 or self.c < 0:
-            raise ValueError("spring and damping constants must be nonnegative")
+        for key, sign in (("m", "positive"), ("k", "nonnegative"), ("c", "nonnegative")):
+            _require_finite(getattr(self, key), f"plant {key}", sign)
 
 
 def smd_system(p: SmdParams):
@@ -49,8 +47,8 @@ class CartpoleParams:
     def __post_init__(self):
         for key, value in vars(self).items():
             _require_finite(value, f"plant {key}")
-        if self.m <= 0 or self.M <= 0 or self.L <= 0:
-            raise ValueError("masses and length must be positive")
+        for key in ("m", "M", "L"):
+            _require_finite(getattr(self, key), f"plant {key}", "positive")
 
 
 def cartpole_dynamics(p: CartpoleParams, x, u):
@@ -111,8 +109,8 @@ class PulseSchedule:
     def __post_init__(self):
         for key, value in vars(self).items():
             _require_finite(value, f"pulse {key}")
-        if self.onset < 0 or self.duration <= 0:
-            raise ValueError("pulse onset must be nonnegative and duration positive")
+        for key, sign in (("onset", "nonnegative"), ("duration", "positive")):
+            _require_finite(getattr(self, key), f"pulse {key}", sign)
 
     def profile(self, tgrid: np.ndarray) -> np.ndarray:
         return np.where(

@@ -24,7 +24,8 @@ class LqrCost:
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         for key, value in (("Q", self.Q), ("R", self.R)):
             _require_finite(value, f"cost {key}", message="{name} must be {rule}, got {all}")
-            if not np.allclose(value, value.T, atol=1e-12):
+            # np.allclose(value, value.T, atol=1e-12) on finite values, without its overhead
+            if not (np.abs(value - value.T) <= 1e-12 + 1e-5 * np.abs(value.T)).all():
                 raise ValueError(f"{key} must be symmetric")
         if np.linalg.eigvalsh(self.Q).min() < -1e-12:
             raise ValueError("Q must be positive semidefinite")
@@ -59,7 +60,8 @@ def solve_care(A, B, Q, R) -> CareSolution:
 
     rinv_bt = np.linalg.solve(R, B.T)
     gain_term = B @ rinv_bt  # B R^-1 B'
-    ham = np.block([[A, -gain_term], [-Q, -A.T]])
+    ham = np.empty((2 * n, 2 * n))  # [[A, -gain_term], [-Q, -A']], filled in place
+    ham[:n, :n], ham[:n, n:], ham[n:, :n], ham[n:, n:] = A, -gain_term, -Q, -A.T
     evals, evecs = np.linalg.eig(ham)
     stable = evals.real < -1e-9
     if stable.sum() != n:
@@ -70,7 +72,8 @@ def solve_care(A, B, Q, R) -> CareSolution:
         )
     basis = evecs[:, stable]
     x1, x2 = basis[:n], basis[n:]
-    if np.linalg.cond(x1) > 1e12:
+    sv = np.linalg.svd(x1, compute_uv=False)  # cond(x1) is sv[0] / sv[-1], inf at 0
+    if not sv[-1] or sv[0] / sv[-1] > 1e12:
         raise ValueError("no stabilizing solution: invariant subspace is degenerate")
     P = (x2 @ np.linalg.inv(x1)).real
     P = 0.5 * (P + P.T)
@@ -94,10 +97,16 @@ def solve_care(A, B, Q, R) -> CareSolution:
 
 def _solve_lyapunov(A, S):
     """Solve A'X + XA = -S for symmetric X (dense Kronecker formulation)."""
-    n = A.shape[0]
-    M = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
-    X = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
+    X = np.linalg.solve(_kron_sum(A.T), -S.reshape(-1)).reshape(A.shape)
     return 0.5 * (X + X.T)
+
+
+def _kron_sum(A):
+    """np.kron(I, A) + np.kron(A, I) as one broadcast: entry (i n + k, j n + l) is
+    I[i, j] A[k, l] + A[i, j] I[k, l], the products and sum np.kron forms."""
+    n, I = len(A), np.eye(len(A))
+    return (I[:, None, :, None] * A[None, :, None, :]
+            + A[:, None, :, None] * I[None, :, None, :]).reshape(n * n, n * n)
 
 
 def lqr_gain(A, B, Q, R) -> np.ndarray:

@@ -157,14 +157,15 @@ def build_controller(system: LinearSystem, kalman_gain, lqr_gain,
     K, p = system.state_dim, system.obs_dim
     eye = np.eye(K)
     BKc = system.B @ Kc
+    # M = [[A + leak I + K_f C - B K_c, B K_c], [0, 0]], In = [[-K_f, 0, 0], [0, leak I, I]]
+    recurrent, input_op = np.zeros((2 * K, 2 * K)), np.zeros((2 * K, p + 2 * K))
+    recurrent[:K, :K], recurrent[:K, K:] = system.A + leak * eye + Kf @ system.C - BKc, BKc
+    input_op[:K, :p], input_op[K:, p:p + K], input_op[K:, p + K:] = -Kf, leak * eye, eye
     return ScnWeights(
         mode="controller", decoder_x=decoder_x, decoder_z=decoder_z,
         leak=float(leak), control_gain=Kc,
         thresholds=_thresholds(decoder_x.values, decoder_z.values),
-        recurrent=np.block([[system.A + leak * eye + Kf @ system.C - BKc, BKc],
-                            [np.zeros((K, 2 * K))]]),
-        input_op=np.block([[-Kf, np.zeros((K, 2 * K))],
-                           [np.zeros((K, p)), leak * eye, eye]]))
+        recurrent=recurrent, input_op=input_op)
 
 
 @dataclass

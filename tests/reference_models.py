@@ -2,12 +2,15 @@
 
 Not a test module (pytest does not collect it); tests import it by name. The
 package itself never calls these: it builds every plant matrix in closed form
-and runs no fixed-point solve.
+and runs no fixed-point solve. `solve_care_kron` is the package's Riccati
+solver as it was written with np.block, np.kron and np.linalg.cond, kept so
+that tests can pin the in-place assembly to it bit for bit.
 """
 
 import numpy as np
 
 from spikecontrol import LinearSystem, SmdParams
+from spikecontrol.riccati import CareSolution
 
 
 def linearize(f, x_eq, u_eq, h: float = 1e-6):
@@ -57,3 +60,57 @@ def closed_loop_steady_state(model: LinearSystem, lqr_gain, z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     BKc = model.B @ Kc
     return np.linalg.solve(model.A - BKc, -BKc @ z)
+
+
+def solve_care_kron(A, B, Q, R) -> CareSolution:
+    """`spikecontrol.solve_care` with the Hamiltonian built by np.block, the
+    Lyapunov operator by np.kron and the subspace check by np.linalg.cond."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape[0] != n or Q.shape != (n, n):
+        raise ValueError("inconsistent matrix dimensions")
+
+    rinv_bt = np.linalg.solve(R, B.T)
+    gain_term = B @ rinv_bt  # B R^-1 B'
+    ham = np.block([[A, -gain_term], [-Q, -A.T]])
+    evals, evecs = np.linalg.eig(ham)
+    stable = evals.real < -1e-9
+    if stable.sum() != n:
+        raise ValueError(
+            "no stabilizing solution: Hamiltonian has "
+            f"{int(stable.sum())} strictly stable eigenvalues, expected {n} "
+            "(pair may be unstabilizable or undetectable)"
+        )
+    basis = evecs[:, stable]
+    x1, x2 = basis[:n], basis[n:]
+    if np.linalg.cond(x1) > 1e12:
+        raise ValueError("no stabilizing solution: invariant subspace is degenerate")
+    P = (x2 @ np.linalg.inv(x1)).real
+    P = 0.5 * (P + P.T)
+
+    # Newton-Kleinman polish: each step solves a Lyapunov equation exactly.
+    for _ in range(3):
+        K = rinv_bt @ P
+        A_cl = A - B @ K
+        P = _solve_lyapunov_kron(A_cl, Q + K.T @ R @ K)
+
+    residual = A.T @ P + P @ A - P @ gain_term @ P + Q
+    residual_norm = float(np.linalg.norm(residual))
+    scale = max(1.0, float(np.linalg.norm(P)))
+    if residual_norm > 1e-8 * scale:
+        raise ValueError(f"Riccati residual too large: {residual_norm:.3e}")
+    closed_loop = np.linalg.eigvals(A - gain_term @ P)
+    if closed_loop.real.max() >= 0:
+        raise ValueError("computed solution is not stabilizing")
+    return CareSolution(P=P, residual_norm=residual_norm, closed_loop_eigs=closed_loop)
+
+
+def _solve_lyapunov_kron(A, S):
+    """Solve A'X + XA = -S for symmetric X (dense Kronecker formulation)."""
+    n = A.shape[0]
+    M = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
+    X = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
+    return 0.5 * (X + X.T)

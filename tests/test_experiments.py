@@ -20,7 +20,8 @@ from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
                           run_estimation, run_robustness_sweep, run_sparsity,
-                          sample_decoder, smd_control_scenario, smd_system,
+                          sample_decoder, save_weights, smd_control_scenario,
+                          smd_system,
                           sparsity_scenario, stair_reference, summarize,
                           write_spikes, write_summary, write_sweep_matrix,
                           write_trajectory)
@@ -322,6 +323,29 @@ def test_closed_loop_call_contract(monkeypatch):
     run_robustness_sweep(replace(robustness_scenario(0), duration=0.01),
                          noise_grid=[1e-3], pulse_grid=[100.0, 300.0])
     assert calls == {"network_step": 200, "lqg_step": 200}
+
+
+def test_cli_run_builds_its_network_once_and_saves_it(tmp_path, monkeypatch):
+    # A CLI run solves each Riccati equation once: weights.json is the network
+    # the runner stepped, not a second build of it.
+    calls, runs = Counter(), []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "run_control":
+                runs.append(result)
+            return result
+        return wrapper
+
+    for name in ("kalman_gain", "lqr_gain", "run_control"):
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    out = tmp_path / "run"
+    assert cli_main(["control", "--duration", "0.2", "--out", str(out)]) == 0
+    assert calls == {"kalman_gain": 1, "lqr_gain": 1, "run_control": 1}
+    save_weights(runs[0].weights, tmp_path / "stepped.json")
+    assert (out / "weights.json").read_bytes() == (tmp_path / "stepped.json").read_bytes()
 
 
 def test_control_requires_cost_and_reference():
@@ -944,6 +968,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("control", "plant.m = nan", "plant m = nan must be finite"),
             ("control", "plant.k = inf", "plant k = inf must be finite"),
             ("cartpole", "plant.L = nan", "plant L = nan must be finite"),
+            # Each plant and pulse sign rule names its key and value.
+            ("control", "plant.m = -1", "plant m = -1 must be finite and positive"),
+            ("control", "plant.c = -1", "plant c = -1 must be finite and nonnegative"),
+            ("cartpole", "plant.L = 0", "plant L = 0 must be finite and positive"),
+            ("sweep", "pulse.duration = 0", "pulse duration = 0 must be finite and positive"),
+            ("sweep", "pulse.onset = -1", "pulse onset = -1 must be finite and nonnegative"),
             # A duration or decoder norm too large for its derived values.
             ("control", "integration.duration = 1e308",
              "duration = 1e+308 is too large: its step count, duration / dt, is not finite"),

@@ -1,11 +1,14 @@
 """Riccati solver and the LQR / Kalman gain pair."""
 
+import re
+
 import numpy as np
 import pytest
 
+from reference_models import _solve_lyapunov_kron, solve_care_kron
 from spikecontrol import (CartpoleParams, LqrCost, SmdParams,
                           cartpole_linearize_up, kalman_gain, lqr_gain,
-                          smd_system, solve_care)
+                          riccati, smd_system, solve_care)
 
 
 def _care_residual(A, B, Q, R, P):
@@ -156,3 +159,106 @@ def test_gains_match_scipy_on_package_plants(name):
     kf_ref = -(np.linalg.solve(sn, C @ sigma)).T
     for got, ref in ((lqr_gain(A, B, Q, R), kc_ref), (kalman_gain(A, C, sd, sn), kf_ref)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# bitwise pins of the in-place build against np.kron / np.block
+
+
+def _signed_zero_matrix(rng, n):
+    """Random n x n matrix with some entries +0.0 or -0.0."""
+    A = rng.standard_normal((n, n))
+    A[rng.random((n, n)) < 0.3] = 0.0
+    A[rng.random((n, n)) < 0.2] = -0.0
+    return A
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_kron_sum_matches_np_kron_bitwise():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        A = _signed_zero_matrix(rng, n)
+        for M in (A, A.T):  # the solver passes a transposed view
+            want = np.kron(np.eye(n), M) + np.kron(M, np.eye(n))
+            _assert_bitwise(riccati._kron_sum(M), want)
+
+
+def test_lyapunov_solve_matches_kron_form_bitwise():
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        A, S = _signed_zero_matrix(rng, n), _signed_zero_matrix(rng, n)
+        S = S + S.T
+        with np.errstate(all="ignore"):  # a singular draw fails alike in both
+            try:
+                want = _solve_lyapunov_kron(A, S)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    riccati._solve_lyapunov(A, S)
+                continue
+            _assert_bitwise(riccati._solve_lyapunov(A, S), want)
+
+
+def _assert_same_solution(args):
+    try:
+        want = solve_care_kron(*args)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            solve_care(*args)
+        return
+    got = solve_care(*args)
+    _assert_bitwise(got.P, want.P)
+    assert got.residual_norm == want.residual_norm
+    _assert_bitwise(got.closed_loop_eigs, want.closed_loop_eigs)
+
+
+def test_care_matches_kron_solver_bitwise_on_random_systems():
+    # The systems of test_care_matches_scipy_on_random_systems.
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        _assert_same_solution(_random_care_problem(rng))
+
+
+@pytest.mark.parametrize("name", ["smd_estimation", "smd_control", "cartpole"])
+def test_care_matches_kron_solver_bitwise_on_package_plants(name):
+    if name == "cartpole":
+        A, B, C = cartpole_linearize_up(CartpoleParams())
+        Q, noise = np.diag([1.0, 1.0, 10.0, 1.0]), 1e-7
+    else:
+        p = SmdParams() if name == "smd_estimation" else SmdParams(m=20.0, k=6.0, c=2.0)
+        A, B, C = smd_system(p)
+        Q, noise = np.diag([10.0, 1.0]), 0.001 if name == "smd_estimation" else 0.1
+    # The control CARE, and the filtering CARE that kalman_gain solves.
+    _assert_same_solution((A, B, Q, np.array([[1e-2]])))
+    _assert_same_solution((A.T, C.T, noise * np.eye(A.shape[0]), noise * np.eye(1)))
+
+
+def test_care_matches_kron_solver_on_refusals():
+    # The same errors, with the same messages, where no stabilizing P exists.
+    _assert_same_solution(([[1.0]], [[0.0]], [[1.0]], [[1.0]]))
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    _assert_same_solution((A, np.zeros((2, 1)), np.zeros((2, 2)), [[1.0]]))
+
+
+def test_lqr_cost_symmetry_check_agrees_with_allclose():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        Q = _signed_zero_matrix(rng, n)
+        Q = Q @ Q.T + np.eye(n)
+        scale = 10.0 ** rng.integers(-14, 1)
+        Q[0, -1] += scale * rng.standard_normal()  # sometimes inside the tolerance
+        symmetric = np.allclose(Q, Q.T, atol=1e-12)
+        try:
+            LqrCost(Q=Q, R=[[1.0]])
+        except ValueError as err:
+            assert not symmetric and "symmetric" in str(err)
+        else:
+            assert symmetric

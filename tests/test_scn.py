@@ -207,6 +207,30 @@ def test_controller_weights_entrywise():
     np.testing.assert_array_equal(w.control_gain, np.atleast_2d(kc))
 
 
+def test_controller_operators_match_np_block_bitwise():
+    # M and In, written block by block into zeros, equal the np.block form
+    # entry for entry and sign of zero for sign of zero, on random plants of
+    # K <= 4 with signed zeros in the gains and leaks including 0.
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        K, m, p = (int(v) for v in rng.integers(1, [5, 3, 3]))
+        A, B, C, kf, kc = (rng.standard_normal(shape) for shape in
+                           ((K, K), (K, m), (p, K), (K, p), (m, K)))
+        for gain in (A, kf, kc):
+            gain[rng.random(gain.shape) < 0.3] = rng.choice([0.0, -0.0])
+        sys = LinearSystem(A=A, B=B, C=C, sigma_d=np.eye(K), sigma_n=np.eye(p))
+        leak = (0.0, 0.1, float(rng.random() * 10))[case % 3]
+        dx, dz = (sample_decoder(K, 5, 0.1, seed=case + i) for i in (0, 1))
+        w = build_controller(sys, kf, kc, dx, dz, leak)
+        eye, BKc = np.eye(K), B @ kc
+        want_m = np.block([[A + leak * eye + kf @ C - BKc, BKc], [np.zeros((K, 2 * K))]])
+        want_in = np.block([[-kf, np.zeros((K, 2 * K))],
+                            [np.zeros((K, p)), leak * eye, eye]])
+        for got, want in ((w.recurrent, want_m), (w.input_op, want_in)):
+            assert got.shape == want.shape and np.array_equal(got, want), case
+            assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
 def test_controller_readout_identity_on_random_rates():
     sys = _smd_linear_system()
     rng = np.random.default_rng(12)
