@@ -6,10 +6,10 @@ from .state_space import LinearSystem, NoiseSource, StreamLabel, make_rng
 from .riccati import LqrCost, CareSolution, solve_care, lqr_gain, kalman_gain
 from .plants import (SmdParams, CartpoleParams, PulseSchedule, CARTPOLE_UP,
                      smd_system, cartpole_dynamics, cartpole_linearize_up)
-from .scn import (DecoderMatrix, ScnWeights, ScnState, Readout,
-                  NetworkDivergedError, sample_decoder, build_autoencoder,
-                  build_estimator, build_controller, new_state, network_step,
-                  decode, silence, save_weights, load_weights)
+from .scn import (DecoderMatrix, ScnWeights, ScnState, NetworkDivergedError,
+                  sample_decoder, build_autoencoder, build_estimator,
+                  build_controller, new_state, network_step, silence,
+                  save_weights, load_weights)
 from .lqg import LqgState, estimator_step, lqg_step
 from .experiments import (Scenario, ReferenceSchedule, Trajectory, SweepResult,
                           SparsityResult, PoleDroppedError, stair_reference,

@@ -216,23 +216,22 @@ def robustness_scenario(master_seed: int = 0) -> Scenario:
     )
 
 
-def cartpole_scenario(master_seed: int = 0, step_height: float = 1.0) -> Scenario:
+def cartpole_scenario(master_seed: int = 0) -> Scenario:
     """Nonlinear cartpole balanced about theta=pi while the cart climbs a stair."""
-    levels = [step_height * (i + 1) for i in range(4)]
     return Scenario(
         name="cartpole", plant=CartpoleParams(), n_neurons=100,
         gamma_x=0.01, gamma_z=0.01, leak=0.1, eta_v=1e-5, sigma_d=1e-7, sigma_n=1e-7,
         cost=LqrCost(Q=np.diag([1.0, 1.0, 10.0, 1.0]), R=[[1e-2]]),
-        reference=stair_reference(levels, [10.0, 20.0, 30.0, 40.0], 4),
+        reference=stair_reference([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0], 4),
         dt=1e-4, duration=50.0, master_seed=master_seed, x0=CARTPOLE_UP,
     )
 
 
-def sparsity_scenario(master_seed: int = 0, leak: float = 1.0) -> Scenario:
+def sparsity_scenario(master_seed: int = 0) -> Scenario:
     """Large-decoder SMD control run used to count spikes as the leak varies."""
     return Scenario(
         name="sparsity", plant=SmdParams(m=20.0, k=6.0, c=2.0), n_neurons=50,
-        gamma_x=1.0, gamma_z=1.0, leak=leak, eta_v=1e-6, sigma_d=0.001,
+        gamma_x=1.0, gamma_z=1.0, leak=1.0, eta_v=1e-6, sigma_d=0.001,
         sigma_n=0.001, cost=LqrCost(Q=np.diag([10.0, 1.0]), R=[[1e-2]]),
         reference=stair_reference([6.0, 12.0, 18.0, 24.0], [2.0, 4.0, 6.0, 8.0], 2),
         dt=1e-4, duration=10.0, master_seed=master_seed, x0=[0.0, 0.0],
@@ -347,6 +346,15 @@ def _reference_rows(sc: Scenario):
     return z, zdot, pulse
 
 
+def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
+    """{step: neuron ids of each silencing block applied before it, in order}. A block
+    applies at the first step whose time is at least its own less 1e-9 s, if there is one."""
+    kills = {}
+    for t, ids in sc.silencing or ():
+        kills.setdefault(int(np.searchsorted(time, t - 1e-9)), []).append(ids)
+    return kills
+
+
 def _voltage_rows(src: NoiseSource, n: int, scale):
     """Yield n per-step voltage-noise rows of `src`, each multiplied by
     `scale`, drawn in blocks of about 1 MiB (at least one row) to bound
@@ -435,12 +443,7 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     z, zdot, pulse = reference
     n, dt = sc.n_steps, sc.dt
     time = np.arange(n) * dt
-    # A silencing block applies at the first step whose time is at least its
-    # own less 1e-9 s; the schedule ends with a step no run reaches.
-    blocks = sc.silencing or []
-    steps = np.searchsorted(time, [t - 1e-9 for t, _ in blocks])
-    kills = iter([(int(k), ids) for k, (_, ids) in zip(steps, blocks)] + [(n, ())])
-    kill_step, kill_ids = next(kills)
+    kills = _silencing_steps(sc, time)
     st = new_state(weights)
     est = LqgState(np.zeros(system.state_dim))
     cart = sc.plant if isinstance(sc.plant, CartpoleParams) else None
@@ -460,9 +463,8 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     U, OU = np.empty((n, P)), np.empty((n, P))
     x, xo = XS[0], OS[0]
     for i in range(n):
-        while i == kill_step:
-            silence(st, kill_ids, time[i])
-            kill_step, kill_ids = next(kills)
+        for ids in kills.get(i, ()):
+            silence(st, ids, time[i])
         ei = e[i]
         dev, devo = (x, xo) if cart is None else (x - CARTPOLE_UP, xo - CARTPOLE_UP)
         np.add(C.dot(dev), ei, out=Y[i])
@@ -530,8 +532,7 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     K, p = system.state_dim, system.obs_dim
     dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
     time = np.arange(n) * dt
-    kills = list(sc.silencing or [])
-    ki = 0
+    kills = _silencing_steps(sc, time)
     out = [None] * len(cells)
     live = [(j, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
             for j, (weights, kf, _, _) in enumerate(cells)]
@@ -549,11 +550,9 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
         st.r = r
     R3 = R[:, :, None]
     for i in range(n):
-        t = time[i]
-        while ki < len(kills) and t >= kills[ki][0] - 1e-9:
+        for ids in kills.get(i, ()):
             for _, _, st, _, _ in live:
-                silence(st, kills[ki][1], t)
-            ki += 1
+                silence(st, ids, time[i])
         Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
         zi, etai = z[i], next(eta)
         IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]

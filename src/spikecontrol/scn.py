@@ -68,8 +68,7 @@ def sample_decoder(dim: int, n_neurons: int, column_norm: float,
 
 # The inputs each mode's step reads, in the column order of its input operator;
 # weights.json records them.
-MODE_INPUTS = {"autoencoder": ("signal", "signal_dot"), "estimator": ("y", "u"),
-               "controller": ("y", "z", "zdot")}
+MODE_INPUTS = {"estimator": ("y", "u"), "controller": ("y", "z", "zdot")}
 
 
 @dataclass
@@ -79,13 +78,13 @@ class ScnWeights:
     With D the stacked decoder ([Dx; Dz] for controllers, Dx otherwise), the
     slow drive is D'(recurrent @ D r + input_op @ inputs), the inputs stacked
     in the order of MODE_INPUTS[mode], and a spike of neuron j adds the fast
-    reset -D' D[:, j] to the voltages. Modes: 'autoencoder', 'estimator' and
-    'controller' (observation + target, control readout). An autonomous
-    network, whose decode follows dx/dt = A x, is the estimator of a plant
-    with B = 0 at zero Kalman gain.
+    reset -D' D[:, j] to the voltages. Modes: 'estimator', and 'controller'
+    (observation + target, control readout) when there is a target decoder.
+    An autonomous network, whose decode follows dx/dt = A x, is the estimator
+    of a plant with B = 0 at zero Kalman gain; an autoencoder is the estimator
+    of a directly observed integrator (`build_autoencoder`).
     """
 
-    mode: str
     decoder_x: DecoderMatrix
     thresholds: np.ndarray
     leak: float
@@ -93,6 +92,10 @@ class ScnWeights:
     input_op: np.ndarray               # In, acts on the stacked inputs
     decoder_z: DecoderMatrix = None    # controller only
     control_gain: np.ndarray = None    # K_c, so u = -K_c(x_hat - z_hat) exactly
+
+    @property
+    def mode(self) -> str:
+        return "estimator" if self.decoder_z is None else "controller"
 
     @property
     def n_neurons(self):
@@ -111,13 +114,11 @@ def _thresholds(*decoders):
 
 
 def build_autoencoder(decoder: DecoderMatrix, leak: float) -> ScnWeights:
-    """Network that re-encodes an external signal fed as (signal, signal_dot):
-    drive D'(signal_dot + leak signal)."""
-    K = decoder.dim
-    return ScnWeights(mode="autoencoder", decoder_x=decoder, leak=float(leak),
-                      thresholds=_thresholds(decoder.values),
-                      recurrent=np.zeros((K, K)),
-                      input_op=np.hstack((leak * np.eye(K), np.eye(K))))
+    """Network that re-encodes an external signal fed as (y, u) = (signal, signal_dot):
+    the estimator of the integrator dx/dt = u, y = x at K_f = -leak I, drive D'(u + leak y)."""
+    eye = np.eye(decoder.dim)
+    integrator = LinearSystem(A=np.zeros_like(eye), B=eye, C=eye, sigma_d=eye, sigma_n=eye)
+    return build_estimator(integrator, -float(leak) * eye, decoder, leak)
 
 
 def build_estimator(system: LinearSystem, kalman_gain, decoder: DecoderMatrix,
@@ -132,7 +133,7 @@ def build_estimator(system: LinearSystem, kalman_gain, decoder: DecoderMatrix,
     if Kf.shape != (system.state_dim, system.obs_dim):
         raise ValueError("Kalman gain shape does not match system")
     eye = np.eye(system.state_dim)
-    return ScnWeights(mode="estimator", decoder_x=decoder, leak=float(leak),
+    return ScnWeights(decoder_x=decoder, leak=float(leak),
                       thresholds=_thresholds(decoder.values),
                       recurrent=system.A + leak * eye + Kf @ system.C,
                       input_op=np.hstack((-Kf, system.B)))
@@ -162,8 +163,7 @@ def build_controller(system: LinearSystem, kalman_gain, lqr_gain,
     recurrent[:K, :K], recurrent[:K, K:] = system.A + leak * eye + Kf @ system.C - BKc, BKc
     input_op[:K, :p], input_op[K:, p:p + K], input_op[K:, p + K:] = -Kf, leak * eye, eye
     return ScnWeights(
-        mode="controller", decoder_x=decoder_x, decoder_z=decoder_z,
-        leak=float(leak), control_gain=Kc,
+        decoder_x=decoder_x, decoder_z=decoder_z, leak=float(leak), control_gain=Kc,
         thresholds=_thresholds(decoder_x.values, decoder_z.values),
         recurrent=recurrent, input_op=input_op)
 
@@ -204,8 +204,8 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, inputs,
     """Advance the network one Euler step; at most one neuron spikes.
 
     `inputs` is the vector `input_op` acts on: the mode's inputs stacked in
-    MODE_INPUTS order (estimator: y, u; controller: y, z, zdot; autoencoder:
-    signal, signal_dot). A vector of the wrong length raises ValueError.
+    MODE_INPUTS order (estimator: y, u; controller: y, z, zdot). A vector of
+    the wrong length raises ValueError.
     `noise` is an optional per-step additive voltage-noise vector (already
     scaled by the caller).
 
@@ -239,30 +239,6 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, inputs,
     return state, spike
 
 
-@dataclass
-class Readout:
-    x_hat: np.ndarray
-    z_hat: np.ndarray = None
-    u: np.ndarray = None
-
-
-def decode(weights: ScnWeights, state: ScnState) -> Readout:
-    """Decode the state estimate (and, for controllers, target and control).
-
-    The control readout is evaluated as -K_c (x_hat - z_hat), which keeps u
-    consistent with the recorded decodes bit-for-bit.
-    """
-    x_hat = weights.decoder_x.values @ state.r
-    if weights.mode != "controller":
-        return Readout(x_hat=x_hat)
-    z_hat = weights.decoder_z.values @ state.r
-    return Readout(
-        x_hat=x_hat,
-        z_hat=z_hat,
-        u=-(weights.control_gain @ (x_hat - z_hat)),
-    )
-
-
 WEIGHTS_VERSION = 2
 _OPERATORS = ("recurrent", "input_op", "control_gain")
 
@@ -274,7 +250,7 @@ def save_weights(weights: ScnWeights, path):
         "format": "scn-weights",
         "version": WEIGHTS_VERSION,
         "mode": weights.mode,
-        "inputs": list(MODE_INPUTS.get(weights.mode, ())),
+        "inputs": list(MODE_INPUTS[weights.mode]),
         "leak": weights.leak,
         "n_neurons": weights.n_neurons,
         "state_dim": weights.decoder_x.dim,
@@ -298,18 +274,23 @@ def load_weights(path) -> ScnWeights:
         raise ValueError(
             f"{path} is not a version-{WEIGHTS_VERSION} scn-weights file "
             f"(format {found[0]!r}, version {found[1]!r})")
-    if doc.get("mode") not in MODE_INPUTS:
+    # Earlier writers saved an autoencoder under its own mode; it is an estimator.
+    mode = {"autoencoder": "estimator"}.get(doc.get("mode"), doc.get("mode"))
+    if mode not in MODE_INPUTS:
         raise ValueError(f"{path} holds a network of unknown mode {doc.get('mode')!r} "
                          f"(known: {', '.join(MODE_INPUTS)})")
     kwargs = {name: _decode_matrix(doc["operators"][name]) for name in _OPERATORS}
-    return ScnWeights(
-        mode=doc["mode"],
+    weights = ScnWeights(
         decoder_x=_decode_decoder(doc["decoder_x"]),
         decoder_z=_decode_decoder(doc["decoder_z"]),
         thresholds=np.array(doc["thresholds"], dtype=float),
         leak=float(doc["leak"]),
         **kwargs,
     )
+    if weights.mode != mode:
+        raise ValueError(f"{path} names mode {mode!r}, but its arrays hold a network "
+                         f"of mode {weights.mode!r}")
+    return weights
 
 
 def _encode_matrix(mat):

@@ -4,7 +4,9 @@ Not a test module (pytest does not collect it); tests import it by name. The
 package itself never calls these: it builds every plant matrix in closed form
 and runs no fixed-point solve. `solve_care_kron` is the package's Riccati
 solver as it was written with np.block, np.kron and np.linalg.cond, kept so
-that tests can pin the in-place assembly to it bit for bit.
+that tests can pin the in-place assembly to it bit for bit, and
+`autoencoder_operators` is the autoencoder's own closed form, which
+`build_autoencoder` replaced with the estimator of an integrator.
 """
 
 import numpy as np
@@ -114,3 +116,11 @@ def _solve_lyapunov_kron(A, S):
     M = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
     X = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
     return 0.5 * (X + X.T)
+
+
+def autoencoder_operators(decoder, leak):
+    """(recurrent, input_op, thresholds) of the autoencoder as built in closed
+    form: no slow recurrence, and the drive D'(signal_dot + leak signal)."""
+    K = decoder.dim
+    return (np.zeros((K, K)), np.hstack((leak * np.eye(K), np.eye(K))),
+            0.5 * np.sum(decoder.values * decoder.values, axis=0))

@@ -12,7 +12,7 @@ import pytest
 
 from spikecontrol import (CartpoleParams, LinearSystem, SmdParams,
                           build_autoencoder, build_network, cartpole_linearize_up,
-                          cartpole_scenario, decode, estimation_scenario,
+                          cartpole_scenario, estimation_scenario,
                           kalman_gain, lqr_gain, network_step, new_state,
                           run_cartpole, run_control, run_estimation,
                           run_robustness_sweep, run_sparsity, robustness_scenario,
@@ -115,7 +115,7 @@ def test_a2_coding_soundness(capsys):
     seen_spike = False
     for i in range(n):
         st, spiked = network_step(enc, st, dt, inputs[i])
-        err_vec = sig[i + 1] - decode(enc, st).x_hat
+        err_vec = sig[i + 1] - D @ st.r
         err = np.linalg.norm(err_vec)
         if spiked is not None:
             seen_spike = True

@@ -14,13 +14,13 @@ from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           LinearSystem, LqrCost, NetworkDivergedError,
                           ReferenceSchedule, Scenario, SmdParams, StreamLabel,
                           apply_config, build_controller, build_estimator,
-                          build_network, cartpole_scenario, decode,
+                          build_network, cartpole_scenario,
                           estimation_scenario, experiments, kalman_gain,
                           load_config, load_weights, lqr_gain, make_rng,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
                           run_estimation, run_robustness_sweep, run_sparsity,
-                          sample_decoder, save_weights, smd_control_scenario,
+                          sample_decoder, save_weights, silence, smd_control_scenario,
                           smd_system,
                           sparsity_scenario, stair_reference, summarize,
                           write_spikes, write_summary, write_sweep_matrix,
@@ -269,7 +269,7 @@ def test_matched_noiseless_estimator_tracks_plant():
         network_step(w, st, dt, np.concatenate((C @ x, u0)))
         x = x + dt * (A @ x)
         if (i + 1) * dt > 1.0:
-            sq.append(np.sum((x - decode(w, st).x_hat) ** 2))
+            sq.append(np.sum((x - dec.values @ st.r) ** 2))
     assert np.sqrt(np.mean(sq)) < sc.gamma_x
 
 
@@ -395,6 +395,36 @@ def test_silencing_at_grid_edges(runner):
     for (_, step), (_, ids) in zip(edges, blocks):
         assert not [j for ts, j in traj.spikes if j in ids and round(ts / dt) >= step]
     assert traj.spike_count > 0
+
+
+def test_closed_loop_and_lockstep_silence_at_the_same_step(monkeypatch):
+    # Both engines apply a block at the first step whose time is at least its
+    # own less 1e-9 s: on the grid, 1e-10 s after or before a grid time (that
+    # step), 2e-9 s before one (that step) or after one (the next step), two
+    # blocks on one step, and never when that step is past the run's end.
+    calls = []
+
+    def recording(state, ids, t=None):
+        calls.append((state.step, tuple(ids), float(t)))
+        return silence(state, ids, t)
+
+    monkeypatch.setattr(experiments, "silence", recording)
+    base = robustness_scenario(3)
+    sc = replace(base, dt=1e-3, duration=0.2,
+                 pulse=replace(base.pulse, onset=0.05, duration=0.05))
+    dt = sc.dt
+    edges = [(0.0, 0), (40 * dt, 40), (60 * dt + 1e-10, 60), (80 * dt - 1e-10, 80),
+             (100 * dt - 2e-9, 100), (120 * dt + 2e-9, 121), (120 * dt + 5e-10, 120),
+             (0.2, None), (7.5, None), (40 * dt + 5e-10, 40)]
+    sc = replace(sc, silencing=[(t, (k, k + 10)) for k, (t, _) in enumerate(edges)])
+    want = sorted((step, (k, k + 10), float(np.arange(sc.n_steps)[step] * dt))
+                  for k, (_, step) in enumerate(edges) if step is not None)
+    run_control(sc)
+    closed_loop = list(calls)
+    calls.clear()
+    res = run_robustness_sweep(sc, noise_grid=[sc.sigma_n], pulse_grid=[100.0])
+    assert res.failed_cells == []
+    assert closed_loop == calls == want
 
 
 def test_spike_raster_integrity(ctrl_silenced):

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from spikecontrol import (LinearSystem, build_controller, build_network,
+from spikecontrol import (LinearSystem, ScnState, build_controller, build_network,
                           kalman_gain, network_step, new_state, sample_decoder,
-                          smd_control_scenario)
+                          silence, smd_control_scenario)
 
 
 def _dense(sys, kf, kc, Dx, Dz, leak):
@@ -91,6 +91,54 @@ def test_factored_reset_matches_dense_formula(case, data):
     Dx, Dz = w.decoder_x.values, w.decoder_z.values
     scale = (np.abs(Dx.T) @ np.abs(Dx[:, j]) + np.abs(Dz.T) @ np.abs(Dz[:, j])).max()
     assert np.abs(state.v - dense["fast"][:, j]).max() <= 1e-12 * scale
+
+
+def _drive(w, seed, silenced_share, kill_step, steps=150, dt=1e-3):
+    """Step `w` on seeded random inputs and voltage noise strong enough to
+    fire, silencing a seeded random share of the neurons before `kill_step`,
+    and check the spike rule at every step. Returns (spike log, v)."""
+    rng = np.random.default_rng(seed)
+    n, width = w.n_neurons, w.input_op.shape[1]
+    ids = np.flatnonzero(rng.random(n) < silenced_share)
+    amp = 100.0 * (w.decoder_x.column_norm + w.decoder_z.column_norm)
+    # Unreachable thresholds: the same step without its reset, so its v is
+    # the voltage the real step picks its spike from.
+    quiet = replace(w, thresholds=np.full(n, np.inf))
+    state = new_state(w)
+    for i in range(steps):
+        if i == kill_step and ids.size:
+            silence(state, ids)
+        inputs = amp * rng.standard_normal(width)
+        noise = 0.1 * w.thresholds * rng.standard_normal(n)
+        probe = ScnState(v=state.v.copy(), r=state.r.copy(),
+                         silenced=state.silenced.copy(), spike_log=[])
+        network_step(quiet, probe, dt, inputs, noise)
+        decayed = state.r * (1.0 - w.leak * dt)
+        logged = len(state.spike_log)
+        _, spike = network_step(w, state, dt, inputs, noise)
+        excess = probe.v - w.thresholds
+        excess[state.silenced] = -np.inf
+        fired = np.flatnonzero(state.r != decayed).tolist()
+        if excess.max() > 0.0:
+            assert spike == int(np.argmax(excess)) and not state.silenced[spike]
+            assert fired == [spike] and len(state.spike_log) == logged + 1
+        else:
+            assert spike is None and fired == [] and len(state.spike_log) == logged
+    return state.spike_log, state.v
+
+
+@settings(max_examples=40, deadline=None)
+@given(controllers(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.integers(0, 150))
+def test_spike_rule_invariants_on_random_networks(case, seed, silenced_share, kill_step):
+    # At most one neuron fires per step, never a silenced one, and it is the
+    # one with the largest positive excess over threshold; a seeded replay
+    # repeats the spike log and the voltages bit for bit.
+    w, _, _ = case
+    log, v = _drive(w, seed, silenced_share, kill_step)
+    again, v_again = _drive(w, seed, silenced_share, kill_step)
+    assert log == again
+    np.testing.assert_array_equal(v, v_again)
 
 
 def test_controller_run_matches_dense_stepper_spike_for_spike():

@@ -1,14 +1,18 @@
 """Spike-rule mechanics and the closed-form network constructions."""
 
+import json
+
 import numpy as np
 import pytest
 
 from spikecontrol import (DecoderMatrix, LinearSystem, NetworkDivergedError,
                           SmdParams, build_autoencoder, build_controller,
-                          build_estimator, decode, load_weights, network_step,
+                          build_estimator, load_weights, network_step,
                           new_state, sample_decoder, save_weights, silence,
                           smd_system)
 from spikecontrol.scn import MODE_INPUTS
+
+from reference_models import autoencoder_operators
 
 
 def _smd_linear_system():
@@ -105,7 +109,24 @@ def test_autoencoder_weights_closed_form():
     # inputs: D'(signal_dot + leak * signal)
     np.testing.assert_allclose(inp, np.hstack((2.0 * D.T, D.T)), atol=1e-15)
     np.testing.assert_allclose(w.thresholds, 0.005, atol=1e-15)
-    assert w.mode == "autoencoder" and w.leak == 2.0
+    assert w.mode == "estimator" and w.leak == 2.0
+
+
+def test_autoencoder_matches_its_closed_form_bitwise():
+    # The estimator of the integrator at K_f = -leak I has the autoencoder's
+    # own operators entry for entry and sign of zero for sign of zero, on
+    # random decoders of K <= 4 and leaks including 0.
+    rng = np.random.default_rng(21)
+    for case in range(1000):
+        K, n = int(rng.integers(1, 5)), int(rng.integers(1, 31))
+        leak = (0.0, 0, 1.0, float(rng.random() * 10), float(rng.exponential(100)))[case % 5]
+        dec = sample_decoder(K, n, float(rng.uniform(0.01, 2.0)), rng=rng)
+        w = build_autoencoder(dec, leak)
+        assert w.decoder_x is dec and w.leak == leak and w.decoder_z is None
+        for got, want in zip((w.recurrent, w.input_op, w.thresholds),
+                             autoencoder_operators(dec, leak)):
+            assert got.shape == want.shape and np.array_equal(got, want), case
+            assert np.array_equal(np.signbit(got), np.signbit(want)), case
 
 
 def test_single_neuron_dynamics_network():
@@ -242,7 +263,9 @@ def test_controller_readout_identity_on_random_rates():
     for _ in range(20):
         st.r[:] = rng.standard_normal(30) * 10
         direct = _readout(w) @ st.r
-        np.testing.assert_allclose(direct, decode(w, st).u, atol=1e-12)
+        x_hat, z_hat = w.decoder_x.values @ st.r, w.decoder_z.values @ st.r
+        np.testing.assert_allclose(direct, -(w.control_gain @ (x_hat - z_hat)),
+                                   atol=1e-12)
 
 
 def test_controller_identical_decoders_read_out_zero():
@@ -287,8 +310,8 @@ def test_controller_population_mismatch():
 
 def test_step_input_requirements():
     # The input vector is what input_op acts on: y, u (1 + 1) for the
-    # estimator, y, z, zdot (1 + 2 + 2) for the controller and signal,
-    # signal_dot (2 + 2) for the autoencoder. One entry short or long fails.
+    # estimator, y, z, zdot (1 + 2 + 2) for the controller and y, u =
+    # signal, signal_dot (2 + 2) for the autoencoder. One entry short or long fails.
     sys, _, _, est = _random_estimator()
     ctrl = build_controller(sys, np.zeros((2, 1)), np.zeros((1, 2)),
                             sample_decoder(2, 5, 0.1, seed=0),
@@ -388,12 +411,12 @@ def test_silence_everything_decays_to_zero():
     st = new_state(enc)
     st.r[:] = 2.0
     silence(st, range(5), t=0.0)
-    d0 = np.linalg.norm(decode(enc, st).x_hat)
+    d0 = np.linalg.norm(enc.decoder_x.values @ st.r)
     for _ in range(300):
         st, spike = network_step(enc, st, 1e-2,
                                  np.concatenate((np.ones(2), np.zeros(2))))
         assert spike is None
-    assert np.linalg.norm(decode(enc, st).x_hat) < 0.06 * d0
+    assert np.linalg.norm(enc.decoder_x.values @ st.r) < 0.06 * d0
     assert st.silence_log == [(0.0, (0, 1, 2, 3, 4))]
 
 
@@ -438,7 +461,7 @@ def _run_autoencoder(n_neurons, seed, duration=5.0, dt=1e-3, gamma=0.1,
         st, spike = network_step(enc, st, dt, inputs[i])
         if first_spike is None and spike is not None:
             first_spike = i
-        errors[i] = np.linalg.norm(sig[i + 1] - decode(enc, st).x_hat)
+        errors[i] = np.linalg.norm(sig[i + 1] - enc.decoder_x.values @ st.r)
     assert first_spike is not None
     return errors, first_spike, st
 
@@ -473,7 +496,7 @@ def test_autonomous_network_follows_embedded_dynamics():
     for _ in range(n):
         x = x + dt * (A @ x)
         st, _ = network_step(w, st, dt, np.zeros(2))
-        sq += np.sum((x - decode(w, st).x_hat) ** 2)
+        sq += np.sum((x - w.decoder_x.values @ st.r) ** 2)
     assert np.sqrt(sq / n) < 5 * 0.1
 
 
@@ -519,7 +542,7 @@ def test_weight_roundtrip_estimator(tmp_path):
 def _inputs(mode, rng):
     """One step's random input vector for a network of the given mode (state
     dimension 2, one observation, one control input)."""
-    shapes = {"y": 1, "u": 1, "z": 2, "zdot": 2, "signal": 2, "signal_dot": 2}
+    shapes = {"y": 1, "u": 1, "z": 2, "zdot": 2}
     return np.concatenate([rng.standard_normal(shapes[name])
                            for name in MODE_INPUTS[mode]])
 
@@ -529,8 +552,7 @@ def test_weight_roundtrip_all_modes_replays(tmp_path):
     rng = np.random.default_rng(5)
     dx = sample_decoder(2, 15, 0.1, seed=1)
     dz = sample_decoder(2, 15, 0.1, seed=2)
-    built = (build_autoencoder(dx, leak=0.5),
-             build_estimator(sys, rng.standard_normal((2, 1)), dx, leak=0.5),
+    built = (build_estimator(sys, rng.standard_normal((2, 1)), dx, leak=0.5),
              build_controller(sys, rng.standard_normal((2, 1)),
                               rng.standard_normal((1, 2)), dx, dz, leak=0.5))
     assert [w.mode for w in built] == list(MODE_INPUTS)
@@ -566,6 +588,34 @@ def test_load_rejects_version_1(tmp_path):
     path = tmp_path / "old_weights.json"
     path.write_text('{"format": "scn-weights", "version": 1, "matrices": {}}\n')
     with pytest.raises(ValueError, match="version 1"):
+        load_weights(path)
+
+
+def test_load_reads_an_autoencoder_file_as_its_estimator(tmp_path):
+    # Earlier writers saved an autoencoder under mode 'autoencoder' with
+    # inputs (signal, signal_dot). Such a file still loads, as the estimator
+    # of the integrator its arrays are, with every array the step reads.
+    w = build_autoencoder(sample_decoder(2, 7, 0.1, seed=4), leak=0.3)
+    path = tmp_path / "weights.json"
+    save_weights(w, path)
+    doc = json.loads(path.read_text())
+    assert (doc["mode"], doc["inputs"]) == ("estimator", ["y", "u"])
+    doc.update(mode="autoencoder", inputs=["signal", "signal_dot"])
+    path.write_text(json.dumps(doc))
+    loaded = load_weights(path)
+    assert loaded.mode == "estimator" and loaded.leak == 0.3
+    for name in ("recurrent", "input_op", "thresholds", "decoders"):
+        assert np.array_equal(getattr(loaded, name), getattr(w, name)), name
+
+
+def test_load_rejects_a_mode_its_arrays_contradict(tmp_path):
+    _, _, _, w = _random_estimator()
+    path = tmp_path / "weights.json"
+    save_weights(w, path)
+    path.write_text(path.read_text().replace('"mode": "estimator"',
+                                             '"mode": "controller"'))
+    with pytest.raises(ValueError, match="names mode 'controller', but its arrays "
+                                         "hold a network of mode 'estimator'"):
         load_weights(path)
 
 

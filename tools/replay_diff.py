@@ -38,10 +38,9 @@ side by side, with BLAS pinned to one thread):
 
 Every array of every result must be equal under np.array_equal (NaN equal
 to NaN) with equal np.signbit, a trajectory's `weights` (the network its
-runner stepped) included; for a tree whose trajectories do not carry their
-weights, the networks its runners build are recorded in their place. The
-spike and silence logs, sweep failures and metadata must be equal; every
-file the CLI wrote must be byte-identical.
+runner stepped) and their `mode` included. The spike and silence logs, sweep
+failures and metadata must be equal; every file the CLI wrote must be
+byte-identical.
 Exit status: 0 when nothing differs, 1 on any difference or a crashed
 worker, 2 on a usage error.
 """
@@ -141,6 +140,11 @@ REFUSALS = [
     ("control", "network.gamma_z = 1e160"),
     ("export-weights", "network.gamma_z = 1e160"),
     ("sparsity", "integration.dt = 0.1"),
+    ("control", "plant.m = -1"),
+    ("control", "plant.c = -1"),
+    ("cartpole", "plant.L = 0"),
+    ("sweep", "pulse.duration = 0"),
+    ("sweep", "pulse.onset = -1"),
 ]
 
 
@@ -167,10 +171,14 @@ def _source_dir(path: Path) -> Path:
 def _flatten(result, prefix: str, out: dict):
     """Store every field of a result dataclass under `prefix`: arrays as they
     are, dataclasses (a trajectory's weights and their decoders) and lists of
-    results recursively, everything else as exact JSON."""
-    for f in dataclasses.fields(result):
-        value = getattr(result, f.name)
-        key = f"{prefix}{f.name}"
+    results recursively, everything else as exact JSON. A weights object's
+    `mode`, a field in some trees and a property in others, is stored too."""
+    names = {f.name for f in dataclasses.fields(result)}
+    if hasattr(result, "mode"):
+        names.add("mode")
+    for name in sorted(names):
+        value = getattr(result, name)
+        key = f"{prefix}{name}"
         if isinstance(value, np.ndarray):
             out[key] = value
         elif dataclasses.is_dataclass(value):
@@ -301,23 +309,6 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
     return cases
 
 
-def _record_networks(ex):
-    """For a tree whose Trajectory does not yet carry the weights its runner
-    stepped: wrap `experiments._network`, which every runner but the sweep's
-    builds its network with, to keep each network it builds, in order, and
-    return that list. None for a tree whose trajectories carry their weights."""
-    if "weights" in {f.name for f in dataclasses.fields(ex.Trajectory)}:
-        return None
-    built, network = [], ex._network
-
-    def recording(sc):
-        net = network(sc)
-        built.append(net[3])
-        return net
-    ex._network = recording
-    return built
-
-
 def _worker(src: Path, out_dir: Path, seeds, acceptance: bool) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import spikecontrol
@@ -325,14 +316,10 @@ def _worker(src: Path, out_dir: Path, seeds, acceptance: bool) -> int:
         print(f"error: imported spikecontrol from {spikecontrol.__file__}, "
               f"not from {src}", file=sys.stderr)
         return 1
-    from spikecontrol import experiments as ex
-    built = _record_networks(ex)
     cli_dir = out_dir / "cli"
     cli_dir.mkdir(parents=True)
     for name, thunk in _cases(seeds, acceptance, cli_dir):
         start = time.perf_counter()
-        if built is not None:
-            built.clear()
         try:
             result = thunk()
         except Exception as err:  # a failing case is compared like a result
@@ -342,13 +329,6 @@ def _worker(src: Path, out_dir: Path, seeds, acceptance: bool) -> int:
                 continue
             arrays = {}
             _flatten(result, "", arrays)
-            trajs = ([result] if isinstance(result, ex.Trajectory)
-                     else getattr(result, "trajectories", []))
-            if built and len(built) == len(trajs):  # one network per trajectory
-                prefixes = [""] if trajs[0] is result else [
-                    f"trajectories[{i}]." for i in range(len(trajs))]
-                for prefix, weights in zip(prefixes, built):
-                    _flatten(weights, f"{prefix}weights.", arrays)
         np.savez(out_dir / f"{name}.npz", **arrays)
         print(f"[{src}] {name} {time.perf_counter() - start:.1f} s", flush=True)
     return 0
