@@ -166,7 +166,8 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (NetworkDivergedError, ex.PoleDroppedError, ValueError, TypeError) as err:
+    except (NetworkDivergedError, ex.PoleDroppedError, ValueError, TypeError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, ConfigError) else 1  # a usage error, or a run's
 

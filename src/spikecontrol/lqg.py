@@ -11,8 +11,6 @@ import numpy as np
 
 from .state_space import LinearSystem
 
-_FLOAT = np.dtype(float)
-
 
 @dataclass
 class LqgState:
@@ -21,24 +19,13 @@ class LqgState:
 
     def __post_init__(self):
         self.x_hat = np.asarray(self.x_hat, dtype=float).reshape(-1)
-        if self.u is not None:
-            self.u = np.asarray(self.u, dtype=float).reshape(-1)
-
-
-def _array(a, ndim: int) -> np.ndarray:
-    """`a` as a float array of at least `ndim` dimensions; such arrays pass
-    through unconverted, which keeps the per-step path cheap."""
-    if isinstance(a, np.ndarray) and a.ndim >= ndim and a.dtype is _FLOAT:
-        return a
-    return np.array(a, dtype=float, ndmin=ndim)
 
 
 def estimator_step(model: LinearSystem, kalman_gain, st: LqgState,
                    y, u_ext, dt: float) -> LqgState:
     """One Euler step of x_hat' = A x_hat + B u + K_f (C x_hat - y)."""
-    u_ext = _array(u_ext, 1)
     xh = st.x_hat
-    innov = _array(kalman_gain, 2).dot(model.C.dot(xh) - _array(y, 1))
+    innov = kalman_gain.dot(model.C.dot(xh) - y)
     st.x_hat = xh + dt * (model.A.dot(xh) + model.B.dot(u_ext) + innov)
     st.u = u_ext
     return st
@@ -53,6 +40,5 @@ def lqg_step(model: LinearSystem, kalman_gain, lqr_gain, st: LqgState,
     """
     # (-K_c) times the error, not -(K_c times it): at a zero error the two
     # differ in the sign of the zero.
-    u = (-_array(lqr_gain, 2)).dot(st.x_hat - _array(z, 1))
+    u = (-lqr_gain).dot(st.x_hat - z)
     return estimator_step(model, kalman_gain, st, y, u, dt)
-

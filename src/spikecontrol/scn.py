@@ -174,7 +174,7 @@ class ScnState:
     r: np.ndarray
     silenced: np.ndarray
     spike_log: list
-    t: float = 0.0
+    t: float = 0.0  # step * dt, the time on the trajectory's grid
     step: int = 0
     any_silenced: bool = False
     silence_log: list = field(default_factory=list)
@@ -234,8 +234,8 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, inputs,
         r[winner] += 1.0
         state.spike_log.append((state.t, winner))
         spike = winner
-    state.t += dt
     state.step += 1
+    state.t = state.step * dt
     return state, spike
 
 

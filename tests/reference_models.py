@@ -7,11 +7,14 @@ solver as it was written with np.block, np.kron and np.linalg.cond, kept so
 that tests can pin the in-place assembly to it bit for bit, and
 `autoencoder_operators` is the autoencoder's own closed form, which
 `build_autoencoder` replaced with the estimator of an integrator.
+`estimator_step` and `lqg_step` are the oracle step as it was written when it
+converted every argument to a float array first (`_array`), kept so that
+tests can pin the step without that conversion to it bit for bit.
 """
 
 import numpy as np
 
-from spikecontrol import LinearSystem, SmdParams
+from spikecontrol import LinearSystem, LqgState, SmdParams
 from spikecontrol.riccati import CareSolution
 
 
@@ -124,3 +127,38 @@ def autoencoder_operators(decoder, leak):
     K = decoder.dim
     return (np.zeros((K, K)), np.hstack((leak * np.eye(K), np.eye(K))),
             0.5 * np.sum(decoder.values * decoder.values, axis=0))
+
+
+_FLOAT = np.dtype(float)
+
+
+def _array(a, ndim: int) -> np.ndarray:
+    """`a` as a float array of at least `ndim` dimensions; such arrays pass
+    through unconverted, which keeps the per-step path cheap."""
+    if isinstance(a, np.ndarray) and a.ndim >= ndim and a.dtype is _FLOAT:
+        return a
+    return np.array(a, dtype=float, ndmin=ndim)
+
+
+def estimator_step(model: LinearSystem, kalman_gain, st: LqgState,
+                   y, u_ext, dt: float) -> LqgState:
+    """One Euler step of x_hat' = A x_hat + B u + K_f (C x_hat - y)."""
+    u_ext = _array(u_ext, 1)
+    xh = st.x_hat
+    innov = _array(kalman_gain, 2).dot(model.C.dot(xh) - _array(y, 1))
+    st.x_hat = xh + dt * (model.A.dot(xh) + model.B.dot(u_ext) + innov)
+    st.u = u_ext
+    return st
+
+
+def lqg_step(model: LinearSystem, kalman_gain, lqr_gain, st: LqgState,
+             y, z, dt: float) -> LqgState:
+    """Control from the current estimate, then advance the estimate.
+
+    u = -K_c (x_hat - z) is computed before the filter update so the plant and
+    the estimator consume the same control this step.
+    """
+    # (-K_c) times the error, not -(K_c times it): at a zero error the two
+    # differ in the sign of the zero.
+    u = (-_array(lqr_gain, 2)).dot(st.x_hat - _array(z, 1))
+    return estimator_step(model, kalman_gain, st, y, u, dt)

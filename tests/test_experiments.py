@@ -439,6 +439,34 @@ def test_spike_raster_integrity(ctrl_silenced):
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-6)
 
 
+def test_spike_times_are_grid_times(monkeypatch):
+    # A spike's time is the trajectory's time at the step it fired, bit for
+    # bit: the network's clock is step * dt, the product that builds `time`.
+    fired = []
+
+    def recording(weights, state, dt, inputs, noise=None):
+        step = state.step
+        state, spike = network_step(weights, state, dt, inputs, noise)
+        if spike is not None:
+            fired.append((step, spike))
+        return state, spike
+
+    monkeypatch.setattr(experiments, "network_step", recording)
+    control = replace(smd_control_scenario(3), duration=1.0,
+                      reference=stair_reference([2.0, 4.0], [0.1, 0.5], 2),
+                      silencing=[(0.3, tuple(range(10)))])
+    runs = [(run_control, control),
+            (run_cartpole, replace(cartpole_scenario(3), duration=0.05,
+                                   reference=stair_reference([0.5, 1.0], [0.001, 0.01], 4))),
+            (run_estimation, replace(estimation_scenario(3), duration=1.0))]
+    for run, sc in runs:
+        fired.clear()
+        traj = run(sc)
+        assert traj.spike_count > 0, sc.name
+        assert traj.spikes == [(traj.time[k], j) for k, j in fired], sc.name
+        assert all(type(t) is float for t, _ in traj.spikes), sc.name
+
+
 def test_readout_identity_on_recorded_run(ctrl_silenced):
     traj = ctrl_silenced
     _, weights = build_network(replace(smd_control_scenario(7, with_silencing=True),
@@ -1032,6 +1060,30 @@ def test_cli_runtime_failure_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "pole dropped" in capsys.readouterr().err
+
+
+def test_cli_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # A run too large to allocate is a run's failure: one line, exit 1.
+    message = ("Unable to allocate 14.2 PiB for an array with shape "
+               "(1000000000000000, 2) and data type float64")
+
+    def huge(sc):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "run_control", huge)
+    code = cli_main(["control", "--duration", "1e12", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_spike_times_are_trajectory_times(tmp_path):
+    out = tmp_path / "c"
+    assert cli_main(["control", "--duration", "2", "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2000  # stride 1
+    times = {row.split(",", 1)[0] for row in rows}
+    spikes = [row.split(",")[0] for row in (out / "spikes.csv").read_text().splitlines()[1:]]
+    assert spikes and set(spikes) <= times
 
 
 def test_cli_sweep_outputs(tmp_path):

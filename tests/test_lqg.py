@@ -4,6 +4,7 @@ import numpy as np
 
 from spikecontrol import (LinearSystem, LqgState, SmdParams, estimator_step,
                           kalman_gain, lqg_step, lqr_gain, smd_system)
+import reference_models
 from reference_models import closed_loop_steady_state
 
 
@@ -96,3 +97,61 @@ def test_closed_loop_settles_at_the_predicted_offset():
         if (i + 1) * dt > 5 * tau:
             worst = max(worst, abs(x[0] - x_ss[0]))
     assert worst < 0.01 * z[0]
+
+
+def _spd(rng, n, floor):
+    G = rng.standard_normal((n, n))
+    return G @ G.T + floor * np.eye(n)
+
+
+def _signed_floats(rng, shape):
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    a[rng.random(shape) < 0.2] = -0.0
+    return a
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_oracle_step_matches_the_converting_step_bitwise():
+    # The oracle step does its arithmetic on what it is given; the step that
+    # first converted every argument to a float array (kept in
+    # reference_models) must give the same estimate and control, signs of zero
+    # included, when y, z and u come as float arrays, float lists or int lists.
+    rng = np.random.default_rng(15)
+    systems = 0
+    while systems < 2000:
+        K, P, p = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        sys = LinearSystem(A=rng.standard_normal((K, K)), B=rng.standard_normal((K, P)),
+                           C=rng.standard_normal((p, K)), sigma_d=_spd(rng, K, 1e-3),
+                           sigma_n=_spd(rng, p, 0.1))
+        try:
+            kf = kalman_gain(sys.A, sys.C, sys.sigma_d, sys.sigma_n)
+            kc = lqr_gain(sys.A, sys.B, _spd(rng, K, 1e-3), _spd(rng, P, 0.1))
+        except ValueError:  # no stabilizing solution for this draw
+            continue
+        systems += 1
+        dt = float(rng.uniform(1e-4, 0.05))
+        x0 = _signed_floats(rng, K)
+        # Step k's (y, z, y, u), as a float array, a float list or an int list.
+        cuts = np.cumsum([p, K, p])
+        floats = _signed_floats(rng, (50, 2 * p + K + P))
+        ints = rng.integers(-3, 4, floats.shape)
+        rows = [np.split(floats[k], cuts) if k % 3 == 0
+                else [a.tolist() for a in np.split((floats if k % 3 == 1 else ints)[k], cuts)]
+                for k in range(50)]
+        loop, loop_ref = LqgState(x0.copy()), LqgState(x0.copy())
+        filt, filt_ref = LqgState(x0.copy()), LqgState(x0.copy())
+        got, want = [], []
+        for y, z, y2, u in rows:
+            lqg_step(sys, kf, kc, loop, y, z, dt)
+            reference_models.lqg_step(sys, kf, kc, loop_ref, y, z, dt)
+            estimator_step(sys, kf, filt, y2, u, dt)
+            reference_models.estimator_step(sys, kf, filt_ref, y2, u, dt)
+            got.append(np.concatenate((loop.x_hat, loop.u, filt.x_hat, filt.u)))
+            want.append(np.concatenate((loop_ref.x_hat, loop_ref.u,
+                                        filt_ref.x_hat, filt_ref.u)))
+        _assert_same(np.array(got), np.array(want))
