@@ -2,18 +2,20 @@
 
 Each subcommand builds its scenario from defaults, applies an optional config
 file, then applies command-line flag overrides (flags win over config).
-Outputs land in --out: trajectory.csv, spikes.csv, summary.json and
-weights.json (the sweep writes the four error-matrix CSVs instead of a
-trajectory).
+Every input, --out included, is checked before the run, and --out is made
+only once the run has finished: a run that fails leaves nothing behind. Its
+files are trajectory.csv, spikes.csv, summary.json and weights.json (the sweep
+writes four error-matrix CSVs and summary.json, export-weights weights.json).
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import experiments as ex
 from .config import ConfigError, _want_tuple, apply_config, load_config
-from .scn import NetworkDivergedError, save_weights
+from .scn import NetworkDivergedError, ScnWeights, save_weights
 from .state_space import _reraise
 
 _RUN_HELP = {
@@ -79,23 +81,39 @@ def _build_scenario(command: str, args, cfg: dict):
     return apply_config(builder(0), cfg)
 
 
-def _stride(sc) -> int:
-    # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
-    return 10 if sc.dt <= 1e-4 + 1e-12 else 1
-
-
-def _write_run(out: Path, sc, traj):
-    stride = _stride(sc)
-    summary = ex.summarize(traj)
-    summary["artifact_choices"]["trajectory_stride"] = stride
-    ex.write_trajectory(traj, out / "trajectory.csv", stride=stride)
-    ex.write_spikes(traj, out / "spikes.csv")
+def _write(out: Path, sc, result):
+    """Make `out` and write into it what a finished run returned: a network,
+    a trajectory, a sweep's matrices, or one trajectory directory per leak."""
+    out.mkdir(parents=True, exist_ok=True)
+    if isinstance(result, ScnWeights):
+        save_weights(result, out / "weights.json")
+        return
+    summary = ex.summarize(result)
+    if isinstance(result, ex.SweepResult):
+        for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
+            ex.write_sweep_matrix(getattr(result, name), result.noise_grid,
+                                  result.pulse_grid, out / f"{name}.csv")
+    elif isinstance(result, ex.SparsityResult):
+        for leak, traj in zip(result.lambdas, result.trajectories):
+            _write(out / f"lambda_{leak:g}", sc, traj)
+    else:
+        # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
+        stride = 10 if sc.dt <= 1e-4 + 1e-12 else 1
+        summary["artifact_choices"]["trajectory_stride"] = stride
+        ex.write_trajectory(result, out / "trajectory.csv", stride=stride)
+        ex.write_spikes(result, out / "spikes.csv")
+        save_weights(result.weights, out / "weights.json")
     ex.write_summary(summary, out / "summary.json")
-    save_weights(traj.weights, out / "weights.json")
 
 
-def _write_weights(out: Path, sc):
-    save_weights(ex.build_network(sc)[1], out / "weights.json")
+def _check_out(out: Path):
+    """Refuse an --out that cannot be made a directory to write in: its
+    nearest existing ancestor (itself, if it exists) must be one."""
+    ancestor = out
+    while not os.path.lexists(ancestor):
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out}: {ancestor} is not a writable directory")
 
 
 def run(argv=None) -> int:
@@ -120,46 +138,14 @@ def run(argv=None) -> int:
         with _reraise("sparsity.", ConfigError):
             runs = ex._sparsity_runs(sc, ex.DEFAULT_LAMBDAS if lambdas is None else lambdas)
     out = Path(args.out) if args.out else Path("out") / command
-    out.mkdir(parents=True, exist_ok=True)
-
-    if command == "estimate":
-        _write_run(out, sc, ex.run_estimation(sc))
-    elif command == "control":
-        _write_run(out, sc, ex.run_control(sc))
-    elif command == "cartpole":
-        _write_run(out, sc, ex.run_cartpole(sc))
-    elif command == "sparsity":
-        result = ex.run_sparsity(sc, [run.leak for run in runs])
-        for run_sc, traj in zip(runs, result.trajectories):
-            sub = out / f"lambda_{run_sc.leak:g}"
-            sub.mkdir(parents=True, exist_ok=True)
-            _write_run(sub, run_sc, traj)
-        ex.write_summary({
-            "scenario": sc.name,
-            "master_seed": sc.master_seed,
-            "lambdas": result.lambdas,
-            "spike_counts": result.spike_counts,
-            "artifact_choices": ex._artifact_choices(sc),
-        }, out / "summary.json")
-    elif command == "sweep":
-        result = ex.run_robustness_sweep(sc, noise, pulse)
-        for name, matrix in (("scn_mae", result.scn_mae),
-                             ("oracle_mae", result.oracle_mae),
-                             ("scn_rmse", result.scn_rmse),
-                             ("oracle_rmse", result.oracle_rmse)):
-            ex.write_sweep_matrix(matrix, result.noise_grid, result.pulse_grid,
-                                  out / f"{name}.csv")
-        ex.write_summary({
-            "scenario": sc.name,
-            "master_seed": sc.master_seed,
-            "noise_grid": result.meta["noise_grid"],
-            "pulse_grid": result.meta["pulse_grid"],
-            "failed_cells": [list(cell) for cell in result.failed_cells],
-            "artifact_choices": result.meta["artifact_choices"],
-        }, out / "summary.json")
-        _write_weights(out, sc)
-    else:  # export-weights
-        _write_weights(out, sc)
+    _check_out(out)
+    result = {"estimate": lambda: ex.run_estimation(sc),
+              "control": lambda: ex.run_control(sc),
+              "cartpole": lambda: ex.run_cartpole(sc),
+              "sparsity": lambda: ex.run_sparsity(sc, [run.leak for run in runs]),
+              "sweep": lambda: ex.run_robustness_sweep(sc, noise, pulse),
+              "export-weights": lambda: ex.build_network(sc)[1]}[command]()
+    _write(out, sc, result)
     return 0
 
 

@@ -730,9 +730,22 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
                        failed_cells=failed, meta=meta)
 
 
-def summarize(traj: Trajectory) -> dict:
-    """Scalar metrics for summary.json; everything JSON-serializable."""
-    meta = traj.meta
+def summarize(result) -> dict:
+    """summary.json of a runner's result, all JSON-serializable: a Trajectory's
+    scalar metrics, a SweepResult's grids and failed cells, or a SparsityResult's
+    spike count per leak. `artifact_choices` is a copy, never the result's dict."""
+    if isinstance(result, SweepResult):
+        meta = result.meta
+        return {"scenario": meta["scenario"], "master_seed": meta["master_seed"],
+                "noise_grid": meta["noise_grid"], "pulse_grid": meta["pulse_grid"],
+                "failed_cells": [list(cell) for cell in result.failed_cells],
+                "artifact_choices": dict(meta["artifact_choices"])}
+    if isinstance(result, SparsityResult):
+        meta = result.trajectories[0].meta  # the leak is the runs' only difference
+        return {"scenario": meta["scenario"], "master_seed": meta["master_seed"],
+                "lambdas": result.lambdas, "spike_counts": result.spike_counts,
+                "artifact_choices": dict(meta["artifact_choices"])}
+    traj, meta = result, result.meta
     duration = float(meta.get("duration", traj.time[-1] + traj.time[1] - traj.time[0]
                               if len(traj.time) > 1 else 0.0))
     out = {
@@ -745,7 +758,7 @@ def summarize(traj: Trajectory) -> dict:
         "spike_count": traj.spike_count,
         "spikes_per_second": traj.spike_count / duration if duration else 0.0,
         "rmse_vs_oracle": _rmse(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0]),
-        "artifact_choices": meta.get("artifact_choices", {}),
+        "artifact_choices": dict(meta.get("artifact_choices", {})),
     }
     if traj.z is not None:
         err = traj.x[:, 0] - traj.z[:, 0]

@@ -346,6 +346,14 @@ def test_cli_run_builds_its_network_once_and_saves_it(tmp_path, monkeypatch):
     assert calls == {"kalman_gain": 1, "lqr_gain": 1, "run_control": 1}
     save_weights(runs[0].weights, tmp_path / "stepped.json")
     assert (out / "weights.json").read_bytes() == (tmp_path / "stepped.json").read_bytes()
+    # A sweep solves one Kalman gain per noise row and one LQR gain, and
+    # builds no network of its own for a weights.json.
+    calls.clear()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep.noise_grid = 1e-4, 1e-2\nsweep.pulse_grid = 300\n"
+                   "integration.duration = 0.01\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == {"kalman_gain": 2, "lqr_gain": 1}
 
 
 def test_control_requires_cost_and_reference():
@@ -598,6 +606,35 @@ def test_spike_csv_roundtrip(tmp_path, est_short):
     assert len(lines) == 1 + est_short.spike_count
     t0, j0 = lines[1].split(",")
     assert (float(t0), int(j0)) == est_short.spikes[0]
+
+
+def test_summary_artifact_choices_are_its_own(ctrl_silenced):
+    # The CLI adds trajectory_stride to a summary's artifact_choices; the
+    # trajectory's metadata must not see it.
+    before = dict(ctrl_silenced.meta["artifact_choices"])
+    summarize(ctrl_silenced)["artifact_choices"]["trajectory_stride"] = 10
+    assert ctrl_silenced.meta["artifact_choices"] == before
+
+
+def test_summary_of_sweep_and_sparsity_results():
+    sc = robustness_scenario(3)  # a 1e308 N pulse from t=0 fails its column
+    sc = replace(sc, duration=0.01, pulse=replace(sc.pulse, onset=0.0))
+    sweep = run_robustness_sweep(sc, [1e-3, 1e-2], [100.0, 1e308])
+    sparse_sc = replace(sparsity_scenario(4), duration=0.01)
+    sparse = run_sparsity(sparse_sc, [0.0, 2.0])
+    summaries = summarize(sweep), summarize(sparse)
+    assert summaries == (
+        {"scenario": "robustness_sweep", "master_seed": 3,
+         "noise_grid": [1e-3, 1e-2], "pulse_grid": [100.0, 1e308],
+         "failed_cells": [list(cell) for cell in sweep.failed_cells],
+         "artifact_choices": experiments._artifact_choices(sc)},
+        {"scenario": "sparsity", "master_seed": 4, "lambdas": [0.0, 2.0],
+         "spike_counts": sparse.spike_counts,
+         "artifact_choices": experiments._artifact_choices(sparse_sc)})
+    assert [cell[:2] for cell in summaries[0]["failed_cells"]] == [[0, 1], [1, 1]]
+    for summary, meta in zip(summaries, (sweep.meta, sparse.trajectories[0].meta)):
+        summary["artifact_choices"]["trajectory_stride"] = 10
+        assert "trajectory_stride" not in meta["artifact_choices"]
 
 
 def test_summary_json_roundtrip(tmp_path, est_short):
@@ -887,7 +924,7 @@ def test_cli_flags_override_config(tmp_path):
     assert summary["duration"] == 1.0
 
 
-def test_cli_config_errors_exit_2(tmp_path, capsys):
+def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert cli_main(["estimate", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
     assert "cannot read config file" in capsys.readouterr().err
@@ -1051,6 +1088,22 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2, text
         assert message in capsys.readouterr().err, text
         assert not out.exists(), text
+    # An --out that cannot be made a directory fails before any run: one line
+    # naming the path, and nothing created.
+    def never(*args):
+        raise AssertionError("ran despite a bad --out")
+
+    for name in ("run_control", "run_robustness_sweep", "build_network"):
+        monkeypatch.setattr(experiments, name, never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for command, out in (("control", blocker / "out"), ("sweep", blocker / "a" / "b"),
+                         ("export-weights", blocker)):
+        assert cli_main([command, "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {blocker} is not a writable directory\n"), command
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
@@ -1060,6 +1113,7 @@ def test_cli_runtime_failure_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "pole dropped" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # a run that fails writes nothing
 
 
 def test_cli_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
@@ -1074,6 +1128,7 @@ def test_cli_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     code = cli_main(["control", "--duration", "1e12", "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_spike_times_are_trajectory_times(tmp_path):
@@ -1103,7 +1158,8 @@ def test_cli_sweep_outputs(tmp_path):
     assert summary["noise_grid"] == [0.001, 0.01]
     assert [cell[:2] for cell in summary["failed_cells"]] == [[0, 2], [1, 2]]
     assert all("not finite" in cell[2] for cell in summary["failed_cells"])
-    assert (out / "weights.json").is_file()
+    # No cell steps the nominal-noise network; export-weights writes it.
+    assert not (out / "weights.json").exists()
     # A single value on each axis is a 1 x 1 sweep.
     cfg.write_text("sweep.noise_grid = 0.01\nsweep.pulse_grid = 100\n"
                    "pulse.onset = 0.1\nintegration.duration = 0.3\n")

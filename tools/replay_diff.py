@@ -23,10 +23,11 @@ side by side, with BLAS pinned to one thread):
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
   with the same pulse set by `pulse.*` keys through the CLI;
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
-  `estimate`, a 1 s `sparsity` at the default leaks and at leaks set by
-  `sparsity.lambdas`, and `export-weights` for each of its five `scenario`
-  values, each writing its output directory (so all six subcommands, and
-  every network mode `weights.json` can hold, are covered);
+  `estimate`, a 3 s `sparsity` at the default leaks and at leaks set by
+  `sparsity.lambdas` (the sparsity stair starts at 2 s, so every leak's
+  `spikes.csv` holds spikes), and `export-weights` for each of its five
+  `scenario` values, each writing its output directory (so all six
+  subcommands, and every network mode `weights.json` can hold, are covered);
 - once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
   of some subcommand: its exit code, its full stderr text and whether it made
   the output directory must be equal, so a moved input rule cannot reword a
@@ -280,9 +281,9 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
         cases.append((f"cli-estimate-s{seed}",
                       cli_run("estimate", seed, ["estimate", "--duration", "10"])))
         cases.append((f"cli-sparsity-s{seed}",
-                      cli_run("sparsity", seed, ["sparsity", "--duration", "1"])))
+                      cli_run("sparsity", seed, ["sparsity", "--duration", "3"])))
         cases.append((f"cli-sparsity-lambdas-s{seed}", cli_run(
-            "sparsity-lambdas", seed, ["sparsity", "--duration", "1"],
+            "sparsity-lambdas", seed, ["sparsity", "--duration", "3"],
             "sparsity.lambdas = 0.5, 2, 20\n")))
         for scenario in cli._EXPORT_SCENARIOS:
             cases.append((f"cli-export-{scenario}-s{seed}",
