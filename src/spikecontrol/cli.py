@@ -81,7 +81,7 @@ def _build_scenario(command: str, args, cfg: dict):
     return apply_config(builder(0), cfg)
 
 
-def _write(out: Path, sc, result):
+def _write(out: Path, result):
     """Make `out` and write into it what a finished run returned: a network,
     a trajectory, a sweep's matrices, or one trajectory directory per leak."""
     out.mkdir(parents=True, exist_ok=True)
@@ -95,10 +95,10 @@ def _write(out: Path, sc, result):
                                   result.pulse_grid, out / f"{name}.csv")
     elif isinstance(result, ex.SparsityResult):
         for leak, traj in zip(result.lambdas, result.trajectories):
-            _write(out / f"lambda_{leak:g}", sc, traj)
+            _write(out / f"lambda_{leak:g}", traj)
     else:
         # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
-        stride = 10 if sc.dt <= 1e-4 + 1e-12 else 1
+        stride = 10 if result.scenario.dt <= 1e-4 + 1e-12 else 1
         summary["artifact_choices"]["trajectory_stride"] = stride
         ex.write_trajectory(result, out / "trajectory.csv", stride=stride)
         ex.write_spikes(result, out / "spikes.csv")
@@ -145,7 +145,7 @@ def run(argv=None) -> int:
               "sparsity": lambda: ex.run_sparsity(sc, [run.leak for run in runs]),
               "sweep": lambda: ex.run_robustness_sweep(sc, noise, pulse),
               "export-weights": lambda: ex.build_network(sc)[1]}[command]()
-    _write(out, sc, result)
+    _write(out, result)
     return 0
 
 

@@ -252,7 +252,7 @@ class Trajectory:
     oracle_x: np.ndarray = None
     spikes: list = field(default_factory=list)
     silence_events: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    scenario: Scenario = None  # the scenario the runner ran
     weights: ScnWeights = None  # the network the runner stepped
 
     @property
@@ -269,7 +269,7 @@ class SweepResult:
     scn_rmse: np.ndarray
     oracle_rmse: np.ndarray
     failed_cells: list
-    meta: dict
+    scenario: Scenario
 
 
 @dataclass
@@ -295,14 +295,15 @@ def _linear_system(sc: Scenario) -> LinearSystem:
                         sigma_n=sc.sigma_n * np.eye(C.shape[0]))
 
 
-def _decoders(sc: Scenario, state_dim: int, need_z: bool):
+def _decoders(sc: Scenario, state_dim: int):
+    """(x decoder, z decoder) of the scenario; the z decoder is None when
+    the scenario has no cost."""
     rng = make_rng(sc.master_seed, StreamLabel.DECODER)
     dec_x = sample_decoder(state_dim, sc.n_neurons, sc.gamma_x, rng=rng)
-    if not need_z:
+    if sc.cost is None:
         return dec_x, None
-    gamma_z = sc.gamma_z if sc.gamma_z is not None else sc.gamma_x
-    dec_z = sample_decoder(state_dim, sc.n_neurons, gamma_z, rng=rng)
-    return dec_x, dec_z
+    gamma_z = sc.gamma_z or sc.gamma_x
+    return dec_x, sample_decoder(state_dim, sc.n_neurons, gamma_z, rng=rng)
 
 
 def _network(sc: Scenario):
@@ -310,11 +311,10 @@ def _network(sc: Scenario):
     network an estimator when the scenario has no cost."""
     system = _linear_system(sc)
     kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
+    dec_x, dec_z = _decoders(sc, system.state_dim)
     if sc.cost is None:
-        dec_x, _ = _decoders(sc, system.state_dim, need_z=False)
         return system, kf, None, build_estimator(system, kf, dec_x, sc.leak)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
     return system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
 
 
@@ -366,18 +366,6 @@ def _voltage_rows(src: NoiseSource, n: int, scale):
         yield from rows
 
 
-def _meta(sc: Scenario, **extra) -> dict:
-    out = {
-        "scenario": sc.name, "master_seed": sc.master_seed,
-        "n_neurons": sc.n_neurons, "dt": sc.dt, "duration": sc.duration,
-        "leak": sc.leak, "gamma_x": sc.gamma_x, "gamma_z": sc.gamma_z,
-        "sigma_d": sc.sigma_d, "sigma_n": sc.sigma_n, "eta_v": sc.eta_v,
-        "artifact_choices": _artifact_choices(sc),
-    }
-    out.update(extra)
-    return out
-
-
 def _artifact_choices(sc: Scenario) -> dict:
     # Parameters the reference material leaves open; values here are ours.
     out = {"voltage_noise_scaling": "sqrt(dt)"}
@@ -419,7 +407,7 @@ def run_estimation(sc: Scenario) -> Trajectory:
         x = x + dt * A.dot(x) + w[i]
     return Trajectory(time=np.arange(n) * dt, x=X, y=Y, x_hat=XH,
                       oracle_x_hat=OXH, spikes=list(st.spike_log),
-                      meta=_meta(sc), weights=weights)
+                      scenario=sc, weights=weights)
 
 
 def _closed_loop(sc: Scenario, net, noise, reference):
@@ -464,7 +452,7 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     x, xo = XS[0], OS[0]
     for i in range(n):
         for ids in kills.get(i, ()):
-            silence(st, ids, time[i])
+            silence(st, ids)
         ei = e[i]
         dev, devo = (x, xo) if cart is None else (x - CARTPOLE_UP, xo - CARTPOLE_UP)
         np.add(C.dot(dev), ei, out=Y[i])
@@ -498,7 +486,7 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     traj = Trajectory(time=time, x=XS[:n], y=Y, x_hat=XH, oracle_x_hat=OXH,
                       z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n],
                       spikes=list(st.spike_log),
-                      silence_events=list(st.silence_log), meta=_meta(sc),
+                      silence_events=list(st.silence_log), scenario=sc,
                       weights=weights)
     return traj, XS[n], OS[n]
 
@@ -552,7 +540,7 @@ def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
     for i in range(n):
         for ids in kills.get(i, ()):
             for _, _, st, _, _ in live:
-                silence(st, ids, time[i])
+                silence(st, ids)
         Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
         zi, etai = z[i], next(eta)
         IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]
@@ -670,7 +658,7 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
 
     system = _linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = _decoders(sc, system.state_dim, need_z=True)
+    dec_x, dec_z = _decoders(sc, system.state_dim)
 
     n, dt = sc.n_steps, sc.dt
     z, zdot = sc.reference.sample_grid(n, dt)
@@ -722,43 +710,41 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
                 failed.append((a, b, "position errors overflow: MAE/RMSE not finite"))
                 continue
             scn_mae[a, b], oracle_mae[a, b], scn_rmse[a, b], oracle_rmse[a, b] = metrics
-    meta = _meta(sc, noise_grid=[float(v) for v in noise_grid],
-                 pulse_grid=[float(v) for v in pulse_grid])
     return SweepResult(noise_grid=noise_grid, pulse_grid=pulse_grid,
                        scn_mae=scn_mae, oracle_mae=oracle_mae,
                        scn_rmse=scn_rmse, oracle_rmse=oracle_rmse,
-                       failed_cells=failed, meta=meta)
+                       failed_cells=failed, scenario=sc)
 
 
 def summarize(result) -> dict:
     """summary.json of a runner's result, all JSON-serializable: a Trajectory's
     scalar metrics, a SweepResult's grids and failed cells, or a SparsityResult's
-    spike count per leak. `artifact_choices` is a copy, never the result's dict."""
+    spike count per leak. Each call builds its own `artifact_choices` dict."""
     if isinstance(result, SweepResult):
-        meta = result.meta
-        return {"scenario": meta["scenario"], "master_seed": meta["master_seed"],
-                "noise_grid": meta["noise_grid"], "pulse_grid": meta["pulse_grid"],
+        sc = result.scenario
+        return {"scenario": sc.name, "master_seed": sc.master_seed,
+                "noise_grid": result.noise_grid.tolist(),
+                "pulse_grid": result.pulse_grid.tolist(),
                 "failed_cells": [list(cell) for cell in result.failed_cells],
-                "artifact_choices": dict(meta["artifact_choices"])}
+                "artifact_choices": _artifact_choices(sc)}
     if isinstance(result, SparsityResult):
-        meta = result.trajectories[0].meta  # the leak is the runs' only difference
-        return {"scenario": meta["scenario"], "master_seed": meta["master_seed"],
+        sc = result.trajectories[0].scenario  # the leak is the runs' only difference
+        return {"scenario": sc.name, "master_seed": sc.master_seed,
                 "lambdas": result.lambdas, "spike_counts": result.spike_counts,
-                "artifact_choices": dict(meta["artifact_choices"])}
-    traj, meta = result, result.meta
-    duration = float(meta.get("duration", traj.time[-1] + traj.time[1] - traj.time[0]
-                              if len(traj.time) > 1 else 0.0))
+                "artifact_choices": _artifact_choices(sc)}
+    traj, sc = result, result.scenario
+    duration = float(sc.duration)  # a library scenario may hold an int
     out = {
-        "scenario": meta.get("scenario"),
-        "master_seed": meta.get("master_seed"),
-        "n_neurons": meta.get("n_neurons"),
-        "dt": meta.get("dt"),
+        "scenario": sc.name,
+        "master_seed": sc.master_seed,
+        "n_neurons": sc.n_neurons,
+        "dt": sc.dt,
         "duration": duration,
-        "leak": meta.get("leak"),
+        "leak": sc.leak,
         "spike_count": traj.spike_count,
-        "spikes_per_second": traj.spike_count / duration if duration else 0.0,
+        "spikes_per_second": traj.spike_count / duration,
         "rmse_vs_oracle": _rmse(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0]),
-        "artifact_choices": dict(meta.get("artifact_choices", {})),
+        "artifact_choices": _artifact_choices(sc),
     }
     if traj.z is not None:
         err = traj.x[:, 0] - traj.z[:, 0]
@@ -770,7 +756,7 @@ def summarize(result) -> dict:
         err = traj.x_hat[:, 0] - traj.x[:, 0]
         out["rmse_vs_reference"] = _rmse(err)
         out["mae_vs_reference"] = float(np.mean(np.abs(err)))
-    if meta.get("scenario") == "cartpole":
+    if sc.name == "cartpole":
         out["max_pole_deviation"] = float(np.abs(traj.x[:, 2]).max())
     return out
 
@@ -781,10 +767,8 @@ def _rmse(err: np.ndarray) -> float:
 
 def _phase_errors(traj: Trajectory) -> list:
     """Position error per constant-reference segment."""
-    times = traj.meta.get("artifact_choices", {}).get("reference_times")
-    if not times:
-        return []
-    duration = float(traj.meta.get("duration", traj.time[-1]))
+    duration = float(traj.scenario.duration)
+    times = traj.scenario.reference.times
     bounds = [0.0] + [float(t) for t in times if t < duration] + [duration]
     phases = []
     for start, end in zip(bounds[:-1], bounds[1:]):

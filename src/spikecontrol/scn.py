@@ -187,15 +187,16 @@ def new_state(weights: ScnWeights) -> ScnState:
     )
 
 
-def silence(state: ScnState, neuron_ids, t: float = None) -> ScnState:
-    """Bar the given neurons from spiking (their voltages keep integrating)."""
+def silence(state: ScnState, neuron_ids) -> ScnState:
+    """Bar the given neurons from spiking (their voltages keep integrating);
+    the block is logged at the state's time."""
     ids = np.atleast_1d(np.asarray(neuron_ids, dtype=int))
     n = state.v.size
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"neuron ids out of range for population of {n}")
     state.silenced[ids] = True
     state.any_silenced = True
-    state.silence_log.append((state.t if t is None else float(t), tuple(int(i) for i in ids)))
+    state.silence_log.append((state.t, tuple(int(i) for i in ids)))
     return state
 
 

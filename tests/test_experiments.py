@@ -412,9 +412,9 @@ def test_closed_loop_and_lockstep_silence_at_the_same_step(monkeypatch):
     # blocks on one step, and never when that step is past the run's end.
     calls = []
 
-    def recording(state, ids, t=None):
-        calls.append((state.step, tuple(ids), float(t)))
-        return silence(state, ids, t)
+    def recording(state, ids):
+        calls.append((state.step, tuple(ids), float(state.t)))
+        return silence(state, ids)
 
     monkeypatch.setattr(experiments, "silence", recording)
     base = robustness_scenario(3)
@@ -609,11 +609,14 @@ def test_spike_csv_roundtrip(tmp_path, est_short):
 
 
 def test_summary_artifact_choices_are_its_own(ctrl_silenced):
-    # The CLI adds trajectory_stride to a summary's artifact_choices; the
-    # trajectory's metadata must not see it.
-    before = dict(ctrl_silenced.meta["artifact_choices"])
-    summarize(ctrl_silenced)["artifact_choices"]["trajectory_stride"] = 10
-    assert ctrl_silenced.meta["artifact_choices"] == before
+    # The CLI adds trajectory_stride to a summary's artifact_choices; an edit
+    # of one summary, its lists included, must not reach the next one.
+    first = summarize(ctrl_silenced)["artifact_choices"]
+    first["trajectory_stride"] = 10
+    first["reference_times"].append(99.0)
+    assert (summarize(ctrl_silenced)["artifact_choices"]
+            == experiments._artifact_choices(ctrl_silenced.scenario))
+    assert "trajectory_stride" not in summarize(ctrl_silenced)["artifact_choices"]
 
 
 def test_summary_of_sweep_and_sparsity_results():
@@ -632,9 +635,47 @@ def test_summary_of_sweep_and_sparsity_results():
          "spike_counts": sparse.spike_counts,
          "artifact_choices": experiments._artifact_choices(sparse_sc)})
     assert [cell[:2] for cell in summaries[0]["failed_cells"]] == [[0, 1], [1, 1]]
-    for summary, meta in zip(summaries, (sweep.meta, sparse.trajectories[0].meta)):
+    # The grids go out as Python floats, not numpy scalars.
+    assert all(type(v) is float
+               for v in summaries[0]["noise_grid"] + summaries[0]["pulse_grid"])
+    for result, summary in zip((sweep, sparse), summaries):
         summary["artifact_choices"]["trajectory_stride"] = 10
-        assert "trajectory_stride" not in meta["artifact_choices"]
+        assert "trajectory_stride" not in summarize(result)["artifact_choices"]
+
+
+def test_results_carry_the_scenario_that_ran():
+    # Every runner's result holds the Scenario it ran, and a summary reads
+    # the run's settings from it.
+    keys = ("scenario", "master_seed", "n_neurons", "dt", "duration", "leak")
+
+    def settings(sc):
+        return {"scenario": sc.name, "master_seed": sc.master_seed,
+                "n_neurons": sc.n_neurons, "dt": sc.dt, "duration": sc.duration,
+                "leak": sc.leak}
+
+    runs = [(run_estimation, replace(estimation_scenario(2), duration=1)),
+            (run_control, replace(smd_control_scenario(2, with_silencing=True),
+                                  duration=0.05)),
+            (run_cartpole, replace(cartpole_scenario(2), duration=0.01))]
+    for run, sc in runs:
+        traj = run(sc)
+        assert traj.scenario is sc, sc.name
+        summary = summarize(traj)
+        assert {key: summary[key] for key in keys} == settings(sc), sc.name
+        assert type(summary["duration"]) is float  # an int duration writes 1.0
+    sc = replace(robustness_scenario(2), duration=0.01)
+    sweep = run_robustness_sweep(sc, [1e-3], [100.0, 300.0])
+    assert sweep.scenario is sc
+    assert summarize(sweep)["scenario"] == sc.name
+    assert summarize(sweep)["master_seed"] == sc.master_seed
+    sc = replace(sparsity_scenario(2), duration=0.01)
+    sparse = run_sparsity(sc, [0.0, 2.0])
+    for leak, traj in zip((0.0, 2.0), sparse.trajectories):
+        assert traj.scenario.leak == leak
+        summary = summarize(traj)
+        assert {key: summary[key] for key in keys} == settings(replace(sc, leak=leak))
+    assert summarize(sparse)["scenario"] == sc.name
+    assert summarize(sparse)["master_seed"] == sc.master_seed
 
 
 def test_summary_json_roundtrip(tmp_path, est_short):
@@ -665,7 +706,8 @@ def test_small_sweep_shapes():
         assert np.isfinite(mat).all()
         assert (mat > 0).all()
     assert res.failed_cells == []
-    assert res.meta["noise_grid"] == [0.001, 0.01]
+    assert res.scenario is sc
+    assert summarize(res)["noise_grid"] == [0.001, 0.01]
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"pulse_grid entry {bad:g} must be finite"):
             run_robustness_sweep(sc, noise_grid=[0.001], pulse_grid=[100.0, bad])
@@ -727,7 +769,7 @@ def _match_closed_loop(monkeypatch, sc, noise_grid, pulse_grid):
 
     system = experiments._linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = experiments._decoders(sc, 2, need_z=True)
+    dec_x, dec_z = experiments._decoders(sc, 2)
     n, dt = sc.n_steps, sc.dt
     z, zdot = sc.reference.sample_grid(n, dt)
     unit = {label: make_rng(sc.master_seed, label).standard_normal((n, dim))

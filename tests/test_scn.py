@@ -410,7 +410,7 @@ def test_silence_everything_decays_to_zero():
     enc = build_autoencoder(sample_decoder(2, 5, 0.1, seed=0), leak=1.0)
     st = new_state(enc)
     st.r[:] = 2.0
-    silence(st, range(5), t=0.0)
+    silence(st, range(5))
     d0 = np.linalg.norm(enc.decoder_x.values @ st.r)
     for _ in range(300):
         st, spike = network_step(enc, st, 1e-2,

@@ -29,9 +29,10 @@ side by side, with BLAS pinned to one thread):
   `scenario` values, each writing its output directory (so all six
   subcommands, and every network mode `weights.json` can hold, are covered);
 - once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
-  of some subcommand: its exit code, its full stderr text and whether it made
-  the output directory must be equal, so a moved input rule cannot reword a
-  message or start writing output unnoticed;
+  of some subcommand, an `--out` under a regular file among them: its exit
+  code, its full stderr text and whether it made the output directory must
+  be equal, so a moved input rule cannot reword a message or start writing
+  output unnoticed;
 - unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
   length (A3 estimation, A4 control seeds 0-9, A5 silencing, A6 cartpole,
   A7's 5 x 5 sweep, A8's three leaks) and the equilibrium-quiet control run.
@@ -40,8 +41,8 @@ side by side, with BLAS pinned to one thread):
 Every array of every result must be equal under np.array_equal (NaN equal
 to NaN) with equal np.signbit, a trajectory's `weights` (the network its
 runner stepped) and their `mode` included. The spike and silence logs, sweep
-failures and metadata must be equal; every file the CLI wrote must be
-byte-identical.
+failures and the scenario each result holds must be equal; every file the
+CLI wrote must be byte-identical.
 Exit status: 0 when nothing differs, 1 on any difference or a crashed
 worker, 2 on a usage error.
 """
@@ -66,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP_NOISE = (1e-7, 1e-5, 0.01)
 SWEEP_PULSE = (300.0, 1e308, 900.0)
 # Bad inputs, as (command line, config file text or None); MISSING stands for
-# a config file that does not exist.
+# a config file that does not exist, FILE for a regular file.
 REFUSALS = [
     ("estimate --config MISSING", None),
     ("estimate", "bogus.key = 1"),
@@ -146,6 +147,8 @@ REFUSALS = [
     ("cartpole", "plant.L = 0"),
     ("sweep", "pulse.duration = 0"),
     ("sweep", "pulse.onset = -1"),
+    *((f"{command} --out FILE/out", None)
+      for command in ("control", "sweep", "export-weights")),
 ]
 
 
@@ -231,16 +234,19 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
         def thunk():
             work = cli_dir.parent / "refusals"
             work.mkdir(exist_ok=True)
-            args = [str(work / "missing.cfg") if a == "MISSING" else a
-                    for a in argv.split()] + ["--out", str(work / f"out{i}")]
+            (work / "file").write_text("")
+            args = [str(work / "missing.cfg") if a == "MISSING"
+                    else a.replace("FILE", str(work / "file")) for a in argv.split()]
+            if "--out" not in args:
+                args += ["--out", str(work / f"out{i}")]
+            out = Path(args[args.index("--out") + 1])
             if config is not None:
                 (work / f"case{i}.cfg").write_text(config + "\n")
                 args += ["--config", str(work / f"case{i}.cfg")]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli.main(args)
-            return Refusal(code, err.getvalue().replace(str(work), "."),
-                           (work / f"out{i}").exists())
+            return Refusal(code, err.getvalue().replace(str(work), "."), out.exists())
         return thunk
 
     cases = []
