@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -543,8 +544,14 @@ def _write_trajectory_per_float(traj, path, stride):
             fh.write(",".join(repr(float(v)) for arr in columns for v in arr[i]) + "\n")
 
 
-@pytest.mark.parametrize("stride", [1, 10])
-def test_trajectory_csv_bytes_match_per_float_repr(tmp_path, stride):
+def _trajectory_of(time, column):
+    return experiments.Trajectory(
+        time=time, x=column(2), y=column(1), x_hat=column(2),
+        oracle_x_hat=column(2), z_hat=column(2), u=column(1), z=column(2),
+        oracle_u=column(1), oracle_x=column(2))
+
+
+def _random_exponents_trajectory():
     # 10 613 rows: 20.7 blocks of 512 written rows at stride 1, 2.07 at 10.
     n = 10_613
     rng = np.random.default_rng(5)
@@ -555,19 +562,64 @@ def test_trajectory_csv_bytes_match_per_float_repr(tmp_path, stride):
         arr.flat[rng.choice(arr.size, 40 * len(special))] = np.repeat(special, 40)
         return arr
 
-    traj = experiments.Trajectory(
-        time=np.arange(n) * 1e-3, x=column(2), y=column(1), x_hat=column(2),
-        oracle_x_hat=column(2), z_hat=column(2), u=column(1), z=column(2),
-        oracle_u=column(1), oracle_x=column(2))
+    traj = _trajectory_of(np.arange(n) * 1e-3, column)
     traj.x[:len(special), 0] = special  # in the first and the last block
     traj.x[-len(special):, 1] = special
+    return traj
+
+
+def _repr_split_trajectory():
+    # Where repr prints fixed-point (0 and 1e-4 <= |v| < 1e16) the writer
+    # takes orjson's digits; NaN, inf and every other value take repr's text.
+    # Three blocks of 512 rows at dt = 1e-5, so rows 1-9 have times below
+    # 1e-4: a mixed block, a block with no repr-only value, and a block whose
+    # values but the time are all repr-only.
+    rng = np.random.default_rng(6)
+    fixed = [0.0, -0.0, 1e-4, -1e-4, 9999999999999998.0]
+    exponent = [9.999999999999999e-05, 1.5e-05, 1e16, -1e16,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                np.nan, np.inf, -np.inf]
+    signs = rng.choice([-1.0, 1.0], 400)
+    fixed_pool = np.concatenate([fixed, signs[:200] * 10.0 ** rng.uniform(-4, 16, 200)])
+    exponent_pool = np.concatenate([
+        exponent, signs[200:300] * 10.0 ** rng.uniform(-320, -4, 100),
+        signs[300:] * 10.0 ** rng.uniform(16, 308, 100)])
+    mixed_pool = np.concatenate([fixed_pool, exponent_pool])
+
+    def column(width):
+        return np.vstack([rng.choice(pool, (512, width))
+                          for pool in (mixed_pool, fixed_pool, exponent_pool)])
+
+    traj = _trajectory_of(np.arange(3 * 512) * 1e-5, column)
+    traj.x[:len(fixed) + len(exponent), 0] = fixed + exponent
+    traj.x[512:512 + len(fixed), 0] = fixed
+    traj.x[1024:1024 + len(exponent), 0] = exponent
+    return traj
+
+
+@pytest.mark.parametrize("make, stride", [
+    pytest.param(_random_exponents_trajectory, 1, id="1"),
+    pytest.param(_random_exponents_trajectory, 10, id="10"),
+    pytest.param(_repr_split_trajectory, 1, id="repr-split"),
+])
+def test_trajectory_csv_bytes_match_per_float_repr(tmp_path, make, stride):
+    traj = make()
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trajectory(traj, got, stride=stride)
     _write_trajectory_per_float(traj, want, stride)
     header, body = got.read_bytes().split(b"\n", 1)
     assert header.startswith(b"time,x1,x2,y1,")
     assert body == want.read_bytes()
-    assert body.count(b"\n") == (n + stride - 1) // stride
+    assert body.count(b"\n") == (len(traj.time) + stride - 1) // stride
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, True, "2"])
+def test_trajectory_stride_must_be_a_positive_integer(tmp_path, est_short, stride):
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            f"stride must be a positive integer, got {stride!r}")):
+        write_trajectory(est_short, path, stride=stride)
+    assert not path.exists()
 
 
 def test_voltage_rows_are_scaled_noise_source_blocks(monkeypatch):

@@ -23,10 +23,13 @@ side by side, with BLAS pinned to one thread):
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
   with the same pulse set by `pulse.*` keys through the CLI;
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
-  `estimate`, a 3 s `sparsity` at the default leaks and at leaks set by
-  `sparsity.lambdas` (the sparsity stair starts at 2 s, so every leak's
-  `spikes.csv` holds spikes), and `export-weights` for each of its five
-  `scenario` values, each writing its output directory (so all six
+  `estimate`, an `estimate --dt 1e-6 --duration 0.001` (100 trajectory rows
+  whose times, `9.999999999999999e-06` and on, are below 1e-4, where a
+  number is written in exponent form), a 3 s `sparsity` at the default
+  leaks and at leaks set by `sparsity.lambdas` (the sparsity stair starts
+  at 2 s, so every leak's `spikes.csv` holds spikes), and `export-weights`
+  for each of its five `scenario` values, each writing its output directory
+  (so all six
   subcommands, and every network mode `weights.json` can hold, are covered);
 - once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
   of some subcommand, an `--out` under a regular file among them: its exit
@@ -286,6 +289,10 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             replace(ex.estimation_scenario(s), duration=10.0))))
         cases.append((f"cli-estimate-s{seed}",
                       cli_run("estimate", seed, ["estimate", "--duration", "10"])))
+        # 100 rows at stride 10, their times (9.999999999999999e-06, ...)
+        # below 1e-4, where repr writes a number in exponent form.
+        cases.append((f"cli-estimate-dt1e-6-s{seed}", cli_run(
+            "estimate-dt1e-6", seed, ["estimate", "--dt", "1e-6", "--duration", "0.001"])))
         cases.append((f"cli-sparsity-s{seed}",
                       cli_run("sparsity", seed, ["sparsity", "--duration", "3"])))
         cases.append((f"cli-sparsity-lambdas-s{seed}", cli_run(
