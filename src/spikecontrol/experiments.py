@@ -337,15 +337,6 @@ def _noise_rows(sc: Scenario, system: LinearSystem):
     return w, sens.sample_block(n), _voltage_rows(volt, n, sdt)
 
 
-def _reference_rows(sc: Scenario):
-    """Per-step (z, zdot, pulse force) rows of a closed-loop run; the pulse
-    rows are None when the scenario has no pulse."""
-    n, dt = sc.n_steps, sc.dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    pulse = sc.pulse.profile(np.arange(n) * dt) if sc.pulse is not None else None
-    return z, zdot, pulse
-
-
 def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
     """{step: neuron ids of each silencing block applied before it, in order}. A block
     applies at the first step whose time is at least its own less 1e-9 s, if there is one."""
@@ -410,12 +401,11 @@ def run_estimation(sc: Scenario) -> Trajectory:
                       scenario=sc, weights=weights)
 
 
-def _closed_loop(sc: Scenario, net, noise, reference):
+def _closed_loop(sc: Scenario):
     """The spiking controller and the ideal LQG loop on twin plants.
 
-    `net` is (system, K_f, K_c, weights); `noise` holds the (disturbance,
-    sensor, voltage) rows and `reference` the (z, zdot, pulse) rows, one per
-    step, as the runner prepared them; both loops consume the same rows. The
+    Both loops consume the same per-step rows: the scenario's `_noise_rows`,
+    its reference on the grid and, when it has a pulse, the pulse force. The
     plant, start state, step and silencing schedule come from the scenario:
     the linear plant is stepped as x + dt (A x + B u) in network coordinates;
     the cartpole through `cartpole_dynamics`, its network coordinates taken
@@ -425,12 +415,12 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     ideal plant state), the states in network coordinates. Raises
     NetworkDivergedError when a final plant state is not finite.
     """
-    system, kf, kc, weights = net
-    w, e, eta = noise
-    eta = iter(eta)
-    z, zdot, pulse = reference
+    system, kf, kc, weights = _network(sc)
+    w, e, eta = _noise_rows(sc, system)
     n, dt = sc.n_steps, sc.dt
     time = np.arange(n) * dt
+    z, zdot = sc.reference.sample_grid(n, dt)
+    pulse = sc.pulse.profile(time) if sc.pulse is not None else None
     kills = _silencing_steps(sc, time)
     st = new_state(weights)
     est = LqgState(np.zeros(system.state_dim))
@@ -491,36 +481,41 @@ def _closed_loop(sc: Scenario, net, noise, reference):
     return traj, XS[n], OS[n]
 
 
-def _lockstep(sc: Scenario, system: LinearSystem, kc, cells, noise, reference):
+def _lockstep(sc: Scenario, system: LinearSystem, kc, cells):
     """`_closed_loop` of several sweep cells on the linear plant, stepped in
     lockstep, recording only the plant positions the sweep's metrics read.
 
-    `cells` holds each cell's (weights, K_f, sensor-noise scale, pulse
-    magnitude), the weights sharing one pair of decoders; `noise` the shared
-    (disturbance, unit sensor) rows and an iterator of voltage rows, one taken
-    per step, and `reference` the (z, zdot, pulse on) rows. Each step writes
-    the cells' network inputs (y, z, zdot) into the rows of one buffer made
-    before the loop. Each cell still gets its own `network_step` and
-    `lqg_step` call per step. Its SCN and ideal plants are rows 2j and 2j + 1
-    of one stacked array, and the observation, decode, readout, pulse, Euler
-    step and record are each one operation on all rows: stacked `np.matmul`
-    repeats each row's `ndarray.dot` bit for bit, where a 2-D product or
-    einsum would not. A cell whose network diverges gets no more network or
-    oracle steps; its rows stay in place and keep stepping, unread, so the
-    other rows are untouched. The batch ends when no cell is left.
+    A cell is `sc` at its own sensor noise and pulse magnitude: `cells` holds
+    each cell's (weights, K_f, sqrt(sigma_n), pulse magnitude), the weights
+    sharing one pair of decoders. The cells share the rows `_noise_rows`
+    draws for `sc` at unit sensor variance; a cell scales the sensor rows by
+    its own sqrt(sigma_n), the same product `_noise_rows` makes for that
+    cell's scenario. Each step writes the cells' network inputs (y, z, zdot)
+    into the rows of one buffer made before the loop. Each cell still gets
+    its own `network_step` and `lqg_step` call per step. Its SCN and ideal
+    plants are rows 2j and 2j + 1 of one stacked array, and the observation,
+    decode, readout, pulse, Euler step and record are each one operation on
+    all rows: stacked `np.matmul` repeats each row's `ndarray.dot` bit for
+    bit, where a 2-D product or einsum would not. So every cell equals
+    `_closed_loop` of its scenario, bit for bit. A cell whose network
+    diverges gets no more network or oracle steps; its rows stay in place
+    and keep stepping, unread, so the other rows are untouched. The batch
+    ends when no cell is left.
 
     Returns, per cell, the NetworkDivergedError that ended it, or (positions,
     final, spikes): the (n, 2) SCN and ideal plant positions after each step,
     the (2, K) final plant states and the spike log.
     """
     n, dt = sc.n_steps, sc.dt
-    w, e_unit, eta = noise
-    z, zdot, pulse_on = reference
+    w, e_unit, eta = _noise_rows(replace(sc, sigma_n=1.0), system)
+    z, zdot = sc.reference.sample_grid(n, dt)
     A, B, C = system.A, system.B, system.C
     K, p = system.state_dim, system.obs_dim
     dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
     time = np.arange(n) * dt
     kills = _silencing_steps(sc, time)
+    # A cell's pulse force is its magnitude inside the pulse window, else 0.
+    pulse_on = replace(sc.pulse, magnitude=1.0).profile(time) != 0.0
     out = [None] * len(cells)
     live = [(j, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
             for j, (weights, kf, _, _) in enumerate(cells)]
@@ -583,8 +578,7 @@ def run_control(sc: Scenario) -> Trajectory:
     if not isinstance(sc.plant, SmdParams):
         raise ValueError("run_control integrates the linear plant; "
                          "use run_cartpole for the cartpole")
-    net = _network(sc)
-    return _closed_loop(sc, net, _noise_rows(sc, net[0]), _reference_rows(sc))[0]
+    return _closed_loop(sc)[0]
 
 
 def run_cartpole(sc: Scenario) -> Trajectory:
@@ -595,8 +589,7 @@ def run_cartpole(sc: Scenario) -> Trajectory:
         raise ValueError("run_cartpole needs a cartpole scenario")
     if sc.cost is None or sc.reference is None:
         raise ValueError("cartpole run needs a cost and a reference schedule")
-    net = _network(sc)
-    return _closed_loop(sc, net, _noise_rows(sc, net[0]), _reference_rows(sc))[0]
+    return _closed_loop(sc)[0]
 
 
 def _sparsity_runs(sc: Scenario, lambdas) -> list:
@@ -639,16 +632,19 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     """Grid of closed-loop runs over (sensor noise, pulse magnitude), each
     lasting the scenario's duration.
 
-    All cells share the same decoders and the same unit noise draws (scaled
-    per cell), so differences across the grid reflect the swept parameters
-    rather than sampling luck. The metric per cell is the time-mean absolute
-    position error |x1 - z1| after each step (RMSE is recorded alongside). A
-    cell whose loop diverges or whose errors are not finite is recorded as
-    NaN and listed in failed_cells as (noise index, pulse index, message).
-    The cells run through `_lockstep` in batches of at most N // 2 (at least
-    one). Each batch draws its voltage rows afresh in blocks of about 1 MiB,
-    so a batch's n x 2B position record, which the metrics read whole, is
-    the sweep's largest array, and the cap holds it to n x N floats.
+    Cell (a, b) is the closed loop of the scenario with sigma_n =
+    noise_grid[a] and pulse magnitude pulse_grid[b], bit for bit: the cells
+    share the decoders and the seed's noise streams, so differences across
+    the grid reflect the swept parameters rather than sampling luck. The
+    metric per cell is the time-mean absolute position error |x1 - z1| after
+    each step (RMSE is recorded alongside). A cell whose loop diverges or
+    whose errors are not finite is recorded as NaN and listed in
+    failed_cells as (noise index, pulse index, message). The cells run
+    through `_lockstep` in batches of at most N // 2 (at least one). Each
+    batch draws its rows through `_noise_rows`, the voltage rows in blocks
+    of about 1 MiB, so a batch's n x 2B position record, which the metrics
+    read whole, is the sweep's largest array, and the cap holds it to n x N
+    floats.
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
@@ -659,19 +655,7 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     system = _linear_system(sc)
     kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
     dec_x, dec_z = _decoders(sc, system.state_dim)
-
-    n, dt = sc.n_steps, sc.dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    time = np.arange(n) * dt
-    # Common random numbers: unit draws, scaled per cell. Drawing each cell's
-    # rows through `_noise_rows` gives the same rows up to rounding, but
-    # builds three streams per cell instead of three per sweep, which made a
-    # 2 x 2 sweep's set-up 13-29% slower.
-    w = NoiseSource(1.0, system.state_dim, sc.master_seed,
-                    StreamLabel.DISTURBANCE).sample_block(n)
-    w *= np.sqrt(dt * sc.sigma_d)
-    e_unit = NoiseSource(1.0, system.obs_dim, sc.master_seed,
-                         StreamLabel.SENSOR).sample_block(n)
+    z = sc.reference.sample_grid(sc.n_steps, sc.dt)[0][:, 0]
 
     shape = (noise_grid.size, pulse_grid.size)
     scn_mae = np.full(shape, np.nan)
@@ -685,24 +669,20 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
                          sn * np.eye(system.obs_dim))
         nets.append((build_controller(system, kf, kc, dec_x, dec_z, sc.leak), kf))
     scales = np.sqrt(noise_grid)
-    # A cell's pulse row is its magnitude inside the pulse window, else 0.
-    pulse_on = replace(sc.pulse, magnitude=1.0).profile(time) != 0.0
     grid = [(a, b) for a in range(noise_grid.size) for b in range(pulse_grid.size)]
     size = max(1, sc.n_neurons // 2)  # two position records per cell
     for start in range(0, len(grid), size):
         batch = grid[start:start + size]
         cells = [(*nets[a], scales[a], pulse_grid[b]) for a, b in batch]
-        volt = NoiseSource(1.0, sc.n_neurons, sc.master_seed, StreamLabel.VOLTAGE)
-        eta = _voltage_rows(volt, n, np.sqrt(dt) * sc.eta_v)
         # A diverging cell's rows overflow; the cell is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            runs = _lockstep(sc, system, kc, cells, (w, e_unit, eta), (z, zdot, pulse_on))
+            runs = _lockstep(sc, system, kc, cells)
         for (a, b), run in zip(batch, runs):
             if isinstance(run, NetworkDivergedError):
                 failed.append((a, b, str(run)))
                 continue
-            err_s = np.abs(run[0][:, 0] - z[:, 0])
-            err_o = np.abs(run[0][:, 1] - z[:, 0])
+            err_s = np.abs(run[0][:, 0] - z)
+            err_o = np.abs(run[0][:, 1] - z)
             with np.errstate(over="ignore"):  # an overflow fails the cell below
                 metrics = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
                            np.sqrt(np.mean(err_o ** 2)))
@@ -748,14 +728,11 @@ def summarize(result) -> dict:
     }
     if traj.z is not None:
         err = traj.x[:, 0] - traj.z[:, 0]
-        out["rmse_vs_reference"] = _rmse(err)
-        out["mae_vs_reference"] = float(np.mean(np.abs(err)))
         out["phase_errors"] = _phase_errors(traj)
-    else:
-        # Estimation runs: the reference is the true plant state.
+    else:  # estimation runs: the reference is the true plant state
         err = traj.x_hat[:, 0] - traj.x[:, 0]
-        out["rmse_vs_reference"] = _rmse(err)
-        out["mae_vs_reference"] = float(np.mean(np.abs(err)))
+    out["rmse_vs_reference"] = _rmse(err)
+    out["mae_vs_reference"] = float(np.mean(np.abs(err)))
     if sc.name == "cartpole":
         out["max_pole_deviation"] = float(np.abs(traj.x[:, 2]).max())
     return out

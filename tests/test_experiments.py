@@ -13,11 +13,11 @@ import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           LinearSystem, LqrCost, NetworkDivergedError,
-                          ReferenceSchedule, Scenario, SmdParams, StreamLabel,
-                          apply_config, build_controller, build_estimator,
+                          ReferenceSchedule, Scenario, SmdParams,
+                          apply_config, build_estimator,
                           build_network, cartpole_scenario,
                           estimation_scenario, experiments, kalman_gain,
-                          load_config, load_weights, lqr_gain, make_rng,
+                          load_config, load_weights,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
                           run_estimation, run_robustness_sweep, run_sparsity,
@@ -324,6 +324,11 @@ def test_closed_loop_call_contract(monkeypatch):
     run_robustness_sweep(replace(robustness_scenario(0), duration=0.01),
                          noise_grid=[1e-3], pulse_grid=[100.0, 300.0])
     assert calls == {"network_step": 200, "lqg_step": 200}
+    # Six neurons: the nine cells of a 3 x 3 sweep run in three batches.
+    calls.clear()
+    run_robustness_sweep(replace(robustness_scenario(0), duration=0.01, n_neurons=6),
+                         noise_grid=[1e-4, 1e-3, 1e-2], pulse_grid=[100.0, 300.0, 900.0])
+    assert calls == {"network_step": 900, "lqg_step": 900}
 
 
 def test_cli_run_builds_its_network_once_and_saves_it(tmp_path, monkeypatch):
@@ -789,8 +794,8 @@ def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):
 
 
 def test_sweep_cells_follow_run_control(monkeypatch):
-    # The sweep scales unit draws made once per sweep; each cell must see the
-    # rows `_noise_rows` would draw for that cell's scenario, up to rounding.
+    # Each cell scales the unit sensor rows by its own sqrt(sigma_n), so it
+    # sees the rows `_noise_rows` draws for that cell's scenario, bit for bit.
     sc = replace(robustness_scenario(4), duration=0.4,
                  pulse=replace(robustness_scenario(4).pulse, onset=0.1))
     sn, pulses = 0.01, (300.0, 900.0)
@@ -801,8 +806,7 @@ def test_sweep_cells_follow_run_control(monkeypatch):
         assert spikes == ref.spikes and len(spikes) > 0
         # Column 0 holds x after each step, column 1 oracle_x.
         for col, name in enumerate(("x", "oracle_x")):
-            got, want = positions[:-1, col], getattr(ref, name)[1:, 0]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert _bitwise_equal(positions[:-1, col], getattr(ref, name)[1:, 0])
 
 
 def _bitwise_equal(a, b):
@@ -813,34 +817,18 @@ def _bitwise_equal(a, b):
 
 def _match_closed_loop(monkeypatch, sc, noise_grid, pulse_grid):
     """Run the sweep and require each lockstep cell to equal `_closed_loop`
-    run alone on that cell's rows, each stream's rows drawn in one piece and
-    scaled whole. Returns (sweep result, number of lockstep batches, messages
-    of the cells that diverged)."""
+    of that cell's scenario, run alone. Returns (sweep result, number of
+    lockstep batches, messages of the cells that diverged)."""
     res, cells, batches = _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid)
     assert len(cells) == len(noise_grid) * len(pulse_grid)
-
-    system = experiments._linear_system(sc)
-    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = experiments._decoders(sc, 2)
-    n, dt = sc.n_steps, sc.dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    unit = {label: make_rng(sc.master_seed, label).standard_normal((n, dim))
-            for label, dim in ((StreamLabel.DISTURBANCE, 2), (StreamLabel.SENSOR, 1),
-                               (StreamLabel.VOLTAGE, sc.n_neurons))}
-    w = np.sqrt(dt * sc.sigma_d) * unit[StreamLabel.DISTURBANCE]
-    e_unit = unit[StreamLabel.SENSOR]
-    eta = np.sqrt(dt) * sc.eta_v * unit[StreamLabel.VOLTAGE]
     messages = []
     cell = iter(cells)
     for sn in noise_grid:
-        kf = kalman_gain(system.A, system.C, system.sigma_d, sn * np.eye(1))
-        net = (system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak))
         for m in pulse_grid:
-            pulse = replace(sc.pulse, magnitude=m).profile(np.arange(n) * dt)
             run = next(cell)
             try:
                 traj, x_end, xo_end = experiments._closed_loop(
-                    sc, net, (w, np.sqrt(sn) * e_unit, eta), (z, zdot, pulse))
+                    replace(sc, sigma_n=sn, pulse=replace(sc.pulse, magnitude=m)))
             except NetworkDivergedError as err:
                 assert isinstance(run, NetworkDivergedError) and str(run) == str(err)
                 messages.append(str(err))

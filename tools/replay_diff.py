@@ -43,9 +43,12 @@ side by side, with BLAS pinned to one thread):
 
 Every array of every result must be equal under np.array_equal (NaN equal
 to NaN) with equal np.signbit, a trajectory's `weights` (the network its
-runner stepped) and their `mode` included. The spike and silence logs, sweep
-failures and the scenario each result holds must be equal; every file the
-CLI wrote must be byte-identical.
+runner stepped) and their `mode` included. A float array that differs is
+reported with its first differing entry and the largest distance in ulps
+(units in the last place) among its differing entries that are finite on
+both sides, so a rounding change shows its size. The spike and silence logs,
+sweep failures and the scenario each result holds must be equal; every file
+the CLI wrote must be byte-identical.
 Exit status: 0 when nothing differs, 1 on any difference or a crashed
 worker, 2 on a usage error.
 """
@@ -352,8 +355,24 @@ def _worker(src: Path, out_dir: Path, seeds, acceptance: bool) -> int:
 # comparison
 
 
+def _ulps(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest distance in units in the last place between the finite
+    entries of two float arrays of one dtype: the count of representable
+    values from one to the other."""
+    ints = np.dtype(f"i{a.dtype.itemsize}")
+    # Signed bit patterns, flipped below zero, order the floats as integers.
+    a, b = (np.where(v < 0, np.iinfo(ints).min - v, v)
+            for v in (a.view(ints), b.view(ints)))
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    # hi - lo fits the unsigned type, where the subtraction wraps exactly.
+    uints = np.dtype(f"u{a.dtype.itemsize}")
+    return int((hi.view(uints) - lo.view(uints)).max())
+
+
 def _array_diff(a: np.ndarray, b: np.ndarray):
-    """None when equal, else a short description of the first difference."""
+    """None when equal, else a short description of the first difference;
+    for real floats, also the largest ulp distance among the differing
+    entries that are finite in both arrays."""
     if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
         return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
     if a.dtype.kind in "US":
@@ -364,7 +383,11 @@ def _array_diff(a: np.ndarray, b: np.ndarray):
     if not same.all():
         bad = np.argwhere(~same)
         where = tuple(int(i) for i in bad[0])
-        return f"{len(bad)} entries differ, first at {where}: {a[where]!r} vs {b[where]!r}"
+        found = f"{len(bad)} entries differ, first at {where}: {a[where]!r} vs {b[where]!r}"
+        finite = ~same & np.isfinite(a) & np.isfinite(b)
+        if a.dtype == b.dtype and a.dtype.kind == "f" and finite.any():
+            found += f", max {_ulps(a[finite], b[finite])} ulp"
+        return found
     if a.dtype.kind == "f" and not np.array_equal(np.signbit(a), np.signbit(b)):
         return "signs of zero differ"
     return None
