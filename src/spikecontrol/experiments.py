@@ -8,7 +8,8 @@ replay bit-for-bit under the same seed.
 `run_control` and `run_cartpole` run through one closed-loop kernel,
 `_closed_loop`, and `run_robustness_sweep` steps its cells through
 `_lockstep`, the same loop on a stack of cells; `run_estimation` is the
-open-loop counterpart. Trajectory row convention: row i carries time
+open-loop counterpart. Every runner, the sweep included, gets its networks
+from one builder, `_network`. Trajectory row convention: row i carries time
 t_i = i*dt, the plant state *before* the step, the observation consumed during
 the step, and the decodes (x_hat, z_hat, u) *after* the step — i.e. the
 estimate that has absorbed y_i and the control that drove the plant from t_i
@@ -288,33 +289,23 @@ def _plant_matrices(plant):
     raise TypeError(f"unsupported plant {type(plant).__name__}")
 
 
-def _linear_system(sc: Scenario) -> LinearSystem:
-    A, B, C = _plant_matrices(sc.plant)
-    return LinearSystem(A=A, B=B, C=C,
-                        sigma_d=sc.sigma_d * np.eye(A.shape[0]),
-                        sigma_n=sc.sigma_n * np.eye(C.shape[0]))
-
-
-def _decoders(sc: Scenario, state_dim: int):
-    """(x decoder, z decoder) of the scenario; the z decoder is None when
-    the scenario has no cost."""
-    rng = make_rng(sc.master_seed, StreamLabel.DECODER)
-    dec_x = sample_decoder(state_dim, sc.n_neurons, sc.gamma_x, rng=rng)
-    if sc.cost is None:
-        return dec_x, None
-    gamma_z = sc.gamma_z or sc.gamma_x
-    return dec_x, sample_decoder(state_dim, sc.n_neurons, gamma_z, rng=rng)
-
-
-def _network(sc: Scenario):
+def _network(sc: Scenario, kc=None):
     """(system, K_f, K_c, weights) of the scenario; K_c is None and the
-    network an estimator when the scenario has no cost."""
-    system = _linear_system(sc)
+    network an estimator when the scenario has no cost. The decoders come
+    from the seed's decoder stream, so scenarios that differ only in their
+    noise get the same ones. A given `kc` stands in for the LQR gain, which
+    depends only on the plant and the cost; by default it is solved here."""
+    A, B, C = _plant_matrices(sc.plant)
+    system = LinearSystem(A=A, B=B, C=C, sigma_d=sc.sigma_d * np.eye(A.shape[0]),
+                          sigma_n=sc.sigma_n * np.eye(C.shape[0]))
     kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
-    dec_x, dec_z = _decoders(sc, system.state_dim)
+    rng = make_rng(sc.master_seed, StreamLabel.DECODER)
+    dec_x = sample_decoder(system.state_dim, sc.n_neurons, sc.gamma_x, rng=rng)
     if sc.cost is None:
         return system, kf, None, build_estimator(system, kf, dec_x, sc.leak)
-    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
+    dec_z = sample_decoder(system.state_dim, sc.n_neurons, sc.gamma_z or sc.gamma_x, rng=rng)
+    if kc is None:
+        kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
     return system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
 
 
@@ -481,50 +472,55 @@ def _closed_loop(sc: Scenario):
     return traj, XS[n], OS[n]
 
 
-def _lockstep(sc: Scenario, system: LinearSystem, kc, cells):
+def _lockstep(sc: Scenario, cells):
     """`_closed_loop` of several sweep cells on the linear plant, stepped in
     lockstep, recording only the plant positions the sweep's metrics read.
 
-    A cell is `sc` at its own sensor noise and pulse magnitude: `cells` holds
-    each cell's (weights, K_f, sqrt(sigma_n), pulse magnitude), the weights
-    sharing one pair of decoders. The cells share the rows `_noise_rows`
-    draws for `sc` at unit sensor variance; a cell scales the sensor rows by
-    its own sqrt(sigma_n), the same product `_noise_rows` makes for that
-    cell's scenario. Each step writes the cells' network inputs (y, z, zdot)
-    into the rows of one buffer made before the loop. Each cell still gets
-    its own `network_step` and `lqg_step` call per step. Its SCN and ideal
-    plants are rows 2j and 2j + 1 of one stacked array, and the observation,
-    decode, readout, pulse, Euler step and record are each one operation on
-    all rows: stacked `np.matmul` repeats each row's `ndarray.dot` bit for
-    bit, where a 2-D product or einsum would not. So every cell equals
-    `_closed_loop` of its scenario, bit for bit. A cell whose network
-    diverges gets no more network or oracle steps; its rows stay in place
-    and keep stepping, unread, so the other rows are untouched. The batch
-    ends when no cell is left.
+    A cell is a (sigma_n, pulse magnitude) pair: cell j is the closed loop of
+    `replace(sc, sigma_n=sigma_n, pulse=replace(sc.pulse, magnitude=m))`, and
+    can differ from `sc` in nothing else. Each distinct sigma_n gets one
+    network from `_network`, shared by its cells; the batch's first network
+    solves the LQR gain, and the others reuse it. The cells share the rows
+    `_noise_rows` draws for `sc` at unit sensor variance; a cell scales the
+    sensor rows by its own sqrt(sigma_n), the same product `_noise_rows`
+    makes for that cell's scenario. Each step writes the cells' network
+    inputs (y, z, zdot) into the rows of one buffer made before the loop.
+    Each cell still gets its own `network_step` and `lqg_step` call per
+    step. Its SCN and ideal plants are rows 2j and 2j + 1 of one stacked
+    array, and the observation, decode, readout, pulse, Euler step and
+    record are each one operation on all rows: stacked `np.matmul` repeats
+    each row's `ndarray.dot` bit for bit, where a 2-D product or einsum
+    would not. So every cell equals `_closed_loop` of its scenario, bit for
+    bit. A cell whose network diverges gets no more network or oracle steps;
+    its rows stay in place and keep stepping, unread, so the other rows are
+    untouched. The batch ends when no cell is left.
 
     Returns, per cell, the NetworkDivergedError that ended it, or (positions,
     final, spikes): the (n, 2) SCN and ideal plant positions after each step,
     the (2, K) final plant states and the spike log.
     """
     n, dt = sc.n_steps, sc.dt
+    nets, kc = {}, None
+    for sn in dict.fromkeys(sn for sn, _ in cells):  # each distinct sigma_n once
+        system, _, kc, weights = nets[sn] = _network(replace(sc, sigma_n=sn), kc)
     w, e_unit, eta = _noise_rows(replace(sc, sigma_n=1.0), system)
     z, zdot = sc.reference.sample_grid(n, dt)
     A, B, C = system.A, system.B, system.C
     K, p = system.state_dim, system.obs_dim
-    dxv, dzv = cells[0][0].decoder_x.values, cells[0][0].decoder_z.values
+    dxv, dzv = weights.decoder_x.values, weights.decoder_z.values  # any network's
     time = np.arange(n) * dt
     kills = _silencing_steps(sc, time)
     # A cell's pulse force is its magnitude inside the pulse window, else 0.
     pulse_on = replace(sc.pulse, magnitude=1.0).profile(time) != 0.0
     out = [None] * len(cells)
     live = [(j, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
-            for j, (weights, kf, _, _) in enumerate(cells)]
+            for j, (_, kf, _, weights) in enumerate(nets[sn] for sn, _ in cells)]
     # States, inputs and noise rows are column vectors on a leading row axis,
     # so that no product needs a reshape per step.
     w3, e3 = w[:, :, None], e_unit[:, :, None]
     X = np.repeat(sc.x0[None, :, None], 2 * len(cells), axis=0)
-    scale = np.repeat([[[s]] for _, _, s, _ in cells], 2, axis=0)
-    pulse = np.repeat([[[m]] for _, _, _, m in cells], 2, axis=0)
+    scale = np.repeat([[[np.sqrt(sn)]] for sn, _ in cells], 2, axis=0)
+    pulse = np.repeat([[[m]] for _, m in cells], 2, axis=0)
     U = np.empty((len(X), system.input_dim, 1))
     IN = np.empty((len(cells), p + 2 * K))  # row j: cell j's network input
     positions = np.empty((n, len(X)))
@@ -633,18 +629,20 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     lasting the scenario's duration.
 
     Cell (a, b) is the closed loop of the scenario with sigma_n =
-    noise_grid[a] and pulse magnitude pulse_grid[b], bit for bit: the cells
-    share the decoders and the seed's noise streams, so differences across
-    the grid reflect the swept parameters rather than sampling luck. The
-    metric per cell is the time-mean absolute position error |x1 - z1| after
-    each step (RMSE is recorded alongside). A cell whose loop diverges or
+    noise_grid[a] and pulse magnitude pulse_grid[b], bit for bit: each noise
+    level's network is built by `_network`, its decoders drawn from the
+    seed, and the cells share the seed's noise streams, so differences
+    across the grid reflect the swept parameters rather than sampling luck.
+    The metric per cell is the time-mean absolute position error |x1 - z1|
+    after each step (RMSE is recorded alongside). A cell whose loop diverges or
     whose errors are not finite is recorded as NaN and listed in
     failed_cells as (noise index, pulse index, message). The cells run
     through `_lockstep` in batches of at most N // 2 (at least one). Each
     batch draws its rows through `_noise_rows`, the voltage rows in blocks
     of about 1 MiB, so a batch's n x 2B position record, which the metrics
     read whole, is the sweep's largest array, and the cap holds it to n x N
-    floats.
+    floats. Each batch builds one network per distinct sigma_n in it and
+    solves the LQR gain once.
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
@@ -652,9 +650,6 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
         raise ValueError("the sweep integrates the linear plant")
     noise_grid, pulse_grid = _sweep_grids(noise_grid, pulse_grid)
 
-    system = _linear_system(sc)
-    kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
-    dec_x, dec_z = _decoders(sc, system.state_dim)
     z = sc.reference.sample_grid(sc.n_steps, sc.dt)[0][:, 0]
 
     shape = (noise_grid.size, pulse_grid.size)
@@ -663,20 +658,14 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     scn_rmse = np.full(shape, np.nan)
     oracle_rmse = np.full(shape, np.nan)
     failed = []
-    nets = []
-    for sn in noise_grid:
-        kf = kalman_gain(system.A, system.C, system.sigma_d,
-                         sn * np.eye(system.obs_dim))
-        nets.append((build_controller(system, kf, kc, dec_x, dec_z, sc.leak), kf))
-    scales = np.sqrt(noise_grid)
     grid = [(a, b) for a in range(noise_grid.size) for b in range(pulse_grid.size)]
     size = max(1, sc.n_neurons // 2)  # two position records per cell
     for start in range(0, len(grid), size):
         batch = grid[start:start + size]
-        cells = [(*nets[a], scales[a], pulse_grid[b]) for a, b in batch]
+        cells = [(noise_grid[a], pulse_grid[b]) for a, b in batch]
         # A diverging cell's rows overflow; the cell is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            runs = _lockstep(sc, system, kc, cells)
+            runs = _lockstep(sc, cells)
         for (a, b), run in zip(batch, runs):
             if isinstance(run, NetworkDivergedError):
                 failed.append((a, b, str(run)))

@@ -877,6 +877,48 @@ def test_lockstep_cells_match_closed_loop_across_voltage_blocks(monkeypatch):
     assert batches == 1 and messages == [] and res.failed_cells == []
 
 
+def test_lockstep_builds_one_network_per_noise_level(monkeypatch):
+    # Six neurons make two batches of three cells, each batch with two noise
+    # levels, 1e-3 among them twice. A batch builds each level's network once,
+    # through `_network`, which holds every gain solve and network build; the
+    # LQR gain is solved once per batch, and cells at one level share the
+    # network object.
+    calls, inside, built, stepped = Counter(), [], [], []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, bool(inside)] += 1
+            inside.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                inside.pop()
+            if name == "_network":
+                built.append(result[3])
+            return result
+        return wrapper
+
+    for name in ("_network", "kalman_gain", "lqr_gain", "build_controller",
+                 "sample_decoder"):
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    start = experiments.new_state
+    monkeypatch.setattr(experiments, "new_state",
+                        lambda weights: stepped.append(weights) or start(weights))
+    base = robustness_scenario(6)
+    sc = replace(base, dt=1e-3, duration=0.5, n_neurons=6,
+                 pulse=replace(base.pulse, onset=0.1, duration=0.3))
+    # `_match_closed_loop` undoes the patches after the sweep, so only the
+    # sweep's calls are counted.
+    res, batches, messages = _match_closed_loop(monkeypatch, sc, [1e-3, 1e-2, 1e-3],
+                                                [300.0, 900.0])
+    assert batches == 2 and messages == [] and res.failed_cells == []
+    assert calls == {("_network", False): 4, ("kalman_gain", True): 4,
+                     ("lqr_gain", True): 2, ("build_controller", True): 4,
+                     ("sample_decoder", True): 8}
+    # Cells (0, 0), (0, 1), (1, 0) | (1, 1), (2, 0), (2, 1).
+    assert [[w is b for b in built].index(True) for w in stepped] == [0, 0, 1, 2, 3, 3]
+
+
 def test_sweep_memory_is_bounded():
     # A one-cell sweep at N=2000 over 2000 steps crosses 30 voltage blocks of
     # 65 rows. Held whole, its n x N voltage rows would be 32 MB.

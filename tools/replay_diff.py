@@ -48,7 +48,10 @@ reported with its first differing entry and the largest distance in ulps
 (units in the last place) among its differing entries that are finite on
 both sides, so a rounding change shows its size. The spike and silence logs,
 sweep failures and the scenario each result holds must be equal; every file
-the CLI wrote must be byte-identical.
+the CLI wrote must be byte-identical. Each report names the tree of every
+value it shows, as `this <value>, other <value>`: "this" is the tree the
+tool sits in, "other" is OTHER_SRC. A run, an array or a CLI file that only
+one tree made is reported as in "this tree" or "the other tree" only.
 Exit status: 0 when nothing differs, 1 on any difference or a crashed
 worker, 2 on a usage error.
 """
@@ -370,11 +373,12 @@ def _ulps(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _array_diff(a: np.ndarray, b: np.ndarray):
-    """None when equal, else a short description of the first difference;
-    for real floats, also the largest ulp distance among the differing
-    entries that are finite in both arrays."""
+    """None when equal, else a short description of the first difference,
+    `a` named as this tree's value and `b` as the other's; for real floats,
+    also the largest ulp distance among the differing entries that are
+    finite in both arrays."""
     if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
-        return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
+        return f"shape/dtype: this {a.shape} {a.dtype}, other {b.shape} {b.dtype}"
     if a.dtype.kind in "US":
         return None if a == b else "values differ"
     same = a == b
@@ -383,7 +387,8 @@ def _array_diff(a: np.ndarray, b: np.ndarray):
     if not same.all():
         bad = np.argwhere(~same)
         where = tuple(int(i) for i in bad[0])
-        found = f"{len(bad)} entries differ, first at {where}: {a[where]!r} vs {b[where]!r}"
+        found = (f"{len(bad)} entries differ, first at {where}: "
+                 f"this {a[where]!r}, other {b[where]!r}")
         finite = ~same & np.isfinite(a) & np.isfinite(b)
         if a.dtype == b.dtype and a.dtype.kind == "f" and finite.any():
             found += f", max {_ulps(a[finite], b[finite])} ulp"
@@ -393,17 +398,21 @@ def _array_diff(a: np.ndarray, b: np.ndarray):
     return None
 
 
+def _tree(this: bool) -> str:
+    return "this tree" if this else "the other tree"
+
+
 def _compare_results(dir_a: Path, dir_b: Path) -> list:
     diffs = []
     names = sorted({p.name for p in dir_a.glob("*.npz")} | {p.name for p in dir_b.glob("*.npz")})
     for name in names:
         if not (dir_a / name).is_file() or not (dir_b / name).is_file():
-            diffs.append(f"{name[:-4]}: ran in one tree only")
+            diffs.append(f"{name[:-4]}: ran in {_tree((dir_a / name).is_file())} only")
             continue
         with np.load(dir_a / name) as a, np.load(dir_b / name) as b:
             for key in sorted(set(a.files) | set(b.files)):
                 if key not in a.files or key not in b.files:
-                    diffs.append(f"{name[:-4]}: {key} in one tree only")
+                    diffs.append(f"{name[:-4]}: {key} in {_tree(key in a.files)} only")
                     continue
                 found = _array_diff(a[key], b[key])
                 if found:
@@ -415,7 +424,8 @@ def _compare_files(dir_a: Path, dir_b: Path) -> list:
     def listing(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
     files_a, files_b = listing(dir_a), listing(dir_b)
-    diffs = [f"cli/{rel}: written in one tree only" for rel in sorted(files_a ^ files_b)]
+    diffs = [f"cli/{rel}: written in {_tree(rel in files_a)} only"
+             for rel in sorted(files_a ^ files_b)]
     for rel in sorted(files_a & files_b):
         if not filecmp.cmp(dir_a / rel, dir_b / rel, shallow=False):
             diffs.append(f"cli/{rel}: bytes differ")
