@@ -5,11 +5,11 @@ labelled streams, the spiking network and the ideal LQG loop consume the same
 disturbance/sensor realizations, and all outputs (trajectory, raster, summary)
 replay bit-for-bit under the same seed.
 
-`run_control` and `run_cartpole` run through one closed-loop kernel,
-`_closed_loop`, and `run_robustness_sweep` steps its cells through
-`_lockstep`, the same loop on a stack of cells; `run_estimation` is the
-open-loop counterpart. Every runner, the sweep included, gets its networks
-from one builder, `_network`. Trajectory row convention: row i carries time
+`run_estimation`, `run_control` and `run_cartpole` run through one kernel,
+`_closed_loop`, the estimator as the controller's loop with no cost, and
+`run_robustness_sweep` steps its cells through `_lockstep`, the same loop on
+a stack of cells. Every runner, the sweep included, gets its networks from
+one builder, `_network`. Trajectory row convention: row i carries time
 t_i = i*dt, the plant state *before* the step, the observation consumed during
 the step, and the decodes (x_hat, z_hat, u) *after* the step — i.e. the
 estimate that has absorbed y_i and the control that drove the plant from t_i
@@ -149,8 +149,9 @@ class Scenario:
             raise ValueError(f"dt*leak = {self.dt * self.leak:.4g} must be below 1, "
                              "or the network's Euler step is unstable")
         A, B, _ = _plant_matrices(self.plant)
-        rho = np.abs(np.linalg.eigvals(np.eye(len(A)) + self.dt * A)).max()
-        if rho >= 1 and np.linalg.eigvals(A).real.max() < 0:
+        lam = np.linalg.eigvals(A)  # I + dt*A has eigenvalues 1 + dt*lam
+        rho = np.abs(1 + self.dt * lam).max()
+        if rho >= 1 and lam.real.max() < 0:
             raise ValueError(f"dt={self.dt:g} is Euler-unstable for the stable "
                              f"plant: spectral radius of I + dt*A is {rho:.4g}")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -360,40 +361,8 @@ def _artifact_choices(sc: Scenario) -> dict:
     return out
 
 
-def run_estimation(sc: Scenario) -> Trajectory:
-    """Simulate the noisy plant with u=0 and estimate it with SCN and oracle."""
-    if sc.name != "estimation":
-        raise ValueError("run_estimation needs an estimation scenario")
-    system, kf, _, weights = _network(sc)
-    st = new_state(weights)
-    est = LqgState(np.zeros(system.state_dim))
-
-    n, dt = sc.n_steps, sc.dt
-    w, e, vrows = _noise_rows(sc, system)
-    A, C = system.A, system.C
-    dxv = weights.decoder_x.values
-    u0 = np.zeros(system.input_dim)
-    X = np.empty((n, system.state_dim))
-    Y = np.empty((n, system.obs_dim))
-    XH = np.empty_like(X)
-    OXH = np.empty_like(X)
-    x = sc.x0.copy()
-    for i in range(n):
-        y = C.dot(x) + e[i]
-        network_step(weights, st, dt, np.concatenate((y, u0)), next(vrows))
-        estimator_step(system, kf, est, y, u0, dt)
-        X[i] = x
-        Y[i] = y
-        XH[i] = dxv.dot(st.r)
-        OXH[i] = est.x_hat
-        x = x + dt * A.dot(x) + w[i]
-    return Trajectory(time=np.arange(n) * dt, x=X, y=Y, x_hat=XH,
-                      oracle_x_hat=OXH, spikes=list(st.spike_log),
-                      scenario=sc, weights=weights)
-
-
 def _closed_loop(sc: Scenario):
-    """The spiking controller and the ideal LQG loop on twin plants.
+    """The spiking network and the ideal LQG loop on the scenario's plant.
 
     Both loops consume the same per-step rows: the scenario's `_noise_rows`,
     its reference on the grid and, when it has a pulse, the pulse force. The
@@ -401,35 +370,43 @@ def _closed_loop(sc: Scenario):
     the linear plant is stepped as x + dt (A x + B u) in network coordinates;
     the cartpole through `cartpole_dynamics`, its network coordinates taken
     about the upright pole, raising PoleDroppedError when a pole falls more
-    than 90 degrees. Each step writes what it records in place, into arrays
-    made before the loop. Returns (trajectory, final SCN plant state, final
-    ideal plant state), the states in network coordinates. Raises
-    NetworkDivergedError when a final plant state is not finite.
+    than 90 degrees. A controller and its LQG loop drive twin plants. With no
+    cost (`_network`'s K_c is None) the network is an estimator fed (y, u = 0),
+    the oracle is `estimator_step` on the same y at u = 0, and one linear
+    plant runs free, x + dt A x, as both loops' plant; the trajectory has no
+    z_hat, u, z, oracle_u or oracle_x. Each step writes what it records in
+    place, into arrays made before the loop. Returns (trajectory, final SCN
+    plant state, final ideal plant state), the states in network coordinates.
+    Raises NetworkDivergedError when a final plant state is not finite.
     """
     system, kf, kc, weights = _network(sc)
     w, e, eta = _noise_rows(sc, system)
     n, dt = sc.n_steps, sc.dt
     time = np.arange(n) * dt
-    z, zdot = sc.reference.sample_grid(n, dt)
-    pulse = sc.pulse.profile(time) if sc.pulse is not None else None
     kills = _silencing_steps(sc, time)
     st = new_state(weights)
     est = LqgState(np.zeros(system.state_dim))
     cart = sc.plant if isinstance(sc.plant, CartpoleParams) else None
 
     A, B, C = system.A, system.B, system.C
-    dxv, dzv, r = weights.decoder_x.values, weights.decoder_z.values, st.r
+    dxv, r = weights.decoder_x.values, st.r
     dt_arr = np.array(dt)  # the same product as a Python float, converted once
     K, P, p = system.state_dim, system.input_dim, system.obs_dim
-    # Row i of IN is step i's network input (y, z, zdot); y is written per step.
-    IN = np.empty((n, p + 2 * K))
-    IN[:, p:p + K], IN[:, p + K:] = z, zdot
+    # Row i of IN is step i's network input, (y, z, zdot) or (y, 0); y is per step.
+    IN = np.zeros((n, weights.input_op.shape[1]))
     Y = IN[:, :p]
     # Row i of XS/OS is the SCN/ideal plant state before step i; row n is final.
-    XS, OS = np.empty((n + 1, K)), np.empty((n + 1, K))
+    XS, XH, OXH = np.empty((n + 1, K)), np.empty((n, K)), np.empty((n, K))
+    OS = XS if kc is None else np.empty((n + 1, K))
     XS[0] = OS[0] = sc.x0
-    XH, ZH, OXH = (np.empty((n, K)) for _ in range(3))
-    U, OU = np.empty((n, P)), np.empty((n, P))
+    u0, ctrl = np.zeros(P), {}  # ctrl: the records only a controller makes
+    if kc is not None:
+        z, zdot = sc.reference.sample_grid(n, dt)
+        IN[:, p:p + K], IN[:, p + K:] = z, zdot
+        pulse = sc.pulse.profile(time) if sc.pulse is not None else None
+        dzv = weights.decoder_z.values
+        ZH, U, OU = np.empty((n, K)), np.empty((n, P)), np.empty((n, P))
+        ctrl = dict(z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n])
     x, xo = XS[0], OS[0]
     for i in range(n):
         for ids in kills.get(i, ()):
@@ -439,6 +416,11 @@ def _closed_loop(sc: Scenario):
         np.add(C.dot(dev), ei, out=Y[i])
         network_step(weights, st, dt, IN[i], next(eta))
         xh = dxv.dot(r, out=XH[i])
+        xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
+        if kc is None:
+            OXH[i] = estimator_step(system, kf, est, Y[i], u0, dt).x_hat
+            x = np.add(x + dt_arr * A.dot(x), wi, out=xn)
+            continue
         zh = dzv.dot(r, out=ZH[i])
         u = np.negative(kc.dot(xh - zh), out=U[i])
         lqg_step(system, kf, kc, est, C.dot(devo) + ei, z[i], dt)
@@ -446,7 +428,6 @@ def _closed_loop(sc: Scenario):
         OU[i] = uo = est.u
         if pulse is not None:
             u, uo = u + pulse[i], uo + pulse[i]
-        xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
         if cart is None:
             np.add(x + dt_arr * (A.dot(x) + B.dot(u)), wi, out=xn)
             np.add(xo + dt_arr * (A.dot(xo) + B.dot(uo)), wi, out=xon)
@@ -458,18 +439,25 @@ def _closed_loop(sc: Scenario):
                     raise PoleDroppedError(
                         f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
         x, xo = xn, xon
-    if not (np.isfinite(x).all() and np.isfinite(xo).all()):
+    if not (np.isfinite(XS[n]).all() and np.isfinite(OS[n]).all()):
         raise NetworkDivergedError(
             f"closed loop diverged: plant state not finite after {n} steps")
     if cart is not None:
         XS -= CARTPOLE_UP
         OS -= CARTPOLE_UP
     traj = Trajectory(time=time, x=XS[:n], y=Y, x_hat=XH, oracle_x_hat=OXH,
-                      z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n],
-                      spikes=list(st.spike_log),
-                      silence_events=list(st.silence_log), scenario=sc,
-                      weights=weights)
+                      spikes=list(st.spike_log), silence_events=list(st.silence_log),
+                      scenario=sc, weights=weights, **ctrl)
     return traj, XS[n], OS[n]
+
+
+def run_estimation(sc: Scenario) -> Trajectory:
+    """Estimate the noisy linear plant at u=0 with SCN and oracle: `_closed_loop`."""
+    if sc.name != "estimation":
+        raise ValueError("run_estimation needs an estimation scenario")
+    if not isinstance(sc.plant, SmdParams):
+        raise ValueError("run_estimation integrates the linear plant")
+    return _closed_loop(sc)[0]
 
 
 def _lockstep(sc: Scenario, cells):

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
-                          LinearSystem, LqrCost, NetworkDivergedError,
+                          LinearSystem, LqgState, LqrCost, NetworkDivergedError,
                           ReferenceSchedule, Scenario, SmdParams,
                           apply_config, build_estimator,
                           build_network, cartpole_scenario,
-                          estimation_scenario, experiments, kalman_gain,
+                          estimation_scenario, estimator_step, experiments, kalman_gain,
                           load_config, load_weights,
                           network_step, new_state, parse_config,
                           robustness_scenario, run_cartpole, run_control,
@@ -250,6 +250,31 @@ def test_estimation_seeds_differ(est_short):
 def test_estimation_rejects_other_scenarios():
     with pytest.raises(ValueError, match="estimation scenario"):
         run_estimation(smd_control_scenario(0))
+    # The estimator integrates the linear plant; the cartpole's upright
+    # linearization is not a plant to step.
+    cart = replace(estimation_scenario(0), plant=CartpoleParams(), x0=CARTPOLE_UP)
+    with pytest.raises(ValueError, match="run_estimation integrates the linear plant"):
+        run_estimation(cart)
+
+
+def test_estimation_steps_one_free_plant_and_filters_its_y():
+    # An estimation run's oracle filters the trajectory's own y at u = 0, and
+    # its one plant runs free: x[i + 1] = x[i] + dt A x[i] + w[i], bit for bit.
+    sc = replace(estimation_scenario(3), duration=0.2)
+    traj = run_estimation(sc)
+    system, kf, _, _ = experiments._network(sc)
+    w = experiments._noise_rows(sc, system)[0]
+    est, u0, x = LqgState(np.zeros(2)), np.zeros(1), traj.x
+    assert np.array_equal(x[0], sc.x0)
+    for i in range(sc.n_steps):
+        estimator_step(system, kf, est, traj.y[i], u0, sc.dt)
+        assert np.array_equal(traj.oracle_x_hat[i], est.x_hat)
+        if i + 1 < sc.n_steps:
+            step = x[i] + sc.dt * system.A.dot(x[i]) + w[i]
+            assert np.array_equal(step, x[i + 1])
+            assert np.array_equal(np.signbit(step), np.signbit(x[i + 1]))
+    for key in ("z_hat", "u", "z", "oracle_u", "oracle_x"):
+        assert getattr(traj, key) is None
 
 
 def test_matched_noiseless_estimator_tracks_plant():
@@ -308,10 +333,15 @@ def test_closed_loop_call_contract(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("network_step", "lqg_step", "cartpole_dynamics"):
+    for name in ("network_step", "lqg_step", "estimator_step", "cartpole_dynamics"):
         monkeypatch.setattr(experiments, name,
                             counting(name, getattr(experiments, name)))
 
+    # `lqg_step` calls `lqg.estimator_step` in its own module, which the
+    # patched name does not see: only an estimation run counts it.
+    run_estimation(replace(estimation_scenario(0), duration=0.1))
+    assert calls == {"network_step": 100, "estimator_step": 100}
+    calls.clear()
     sc = replace(smd_control_scenario(0), duration=0.1,
                  silencing=[(0.05, (0, 1, 2))])
     assert run_control(sc).silence_events == [(0.05, (0, 1, 2))]
