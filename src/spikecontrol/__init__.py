@@ -12,11 +12,10 @@ from .scn import (DecoderMatrix, ScnWeights, ScnState, NetworkDivergedError,
                   save_weights, load_weights)
 from .lqg import LqgState, estimator_step, lqg_step
 from .experiments import (Scenario, ReferenceSchedule, Trajectory, SweepResult,
-                          SparsityResult, PoleDroppedError, stair_reference,
-                          estimation_scenario, smd_control_scenario,
-                          robustness_scenario, cartpole_scenario,
-                          sparsity_scenario, build_network, run_estimation,
-                          run_control, run_cartpole, run_sparsity,
+                          PoleDroppedError, stair_reference, estimation_scenario,
+                          smd_control_scenario, robustness_scenario,
+                          cartpole_scenario, sparsity_scenario, build_network,
+                          run_estimation, run_control, run_cartpole, run_sparsity,
                           run_robustness_sweep, summarize, write_trajectory,
                           write_spikes, write_summary, write_sweep_matrix)
 from .config import ConfigError, parse_config, load_config, apply_config

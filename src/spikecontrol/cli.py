@@ -93,9 +93,9 @@ def _write(out: Path, result):
         for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
             ex.write_sweep_matrix(getattr(result, name), result.noise_grid,
                                   result.pulse_grid, out / f"{name}.csv")
-    elif isinstance(result, ex.SparsityResult):
-        for leak, traj in zip(result.lambdas, result.trajectories):
-            _write(out / f"lambda_{leak:g}", traj)
+    elif isinstance(result, list):
+        for traj in result:
+            _write(out / f"lambda_{traj.scenario.leak:g}", traj)
     else:
         # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
         stride = 10 if result.scenario.dt <= 1e-4 + 1e-12 else 1

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .experiments import DEFAULT_SILENCING, Scenario, stair_reference
-from .plants import CartpoleParams, PulseSchedule, SmdParams
+from .plants import PulseSchedule
 from .riccati import LqrCost
 from .state_space import _reraise
 
@@ -128,11 +128,10 @@ def apply_config(sc: Scenario, cfg: dict) -> Scenario:
     if (ref_times is None) != (ref_positions is None):
         raise ConfigError("reference.times and reference.positions must be given together")
     if ref_times is not None:
-        state_dim = 4 if isinstance(plant, CartpoleParams) else 2
         if len(ref_times) != len(ref_positions):
             raise ConfigError("reference.times and reference.positions differ in length")
         with _reraise("bad reference: ", ConfigError):
-            updates["reference"] = stair_reference(ref_positions, ref_times, state_dim)
+            updates["reference"] = stair_reference(ref_positions, ref_times, sc.x0.size)
 
     if pulse_fields:
         with _reraise("bad pulse value: ", ConfigError):

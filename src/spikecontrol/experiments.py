@@ -274,13 +274,6 @@ class SweepResult:
     scenario: Scenario
 
 
-@dataclass
-class SparsityResult:
-    lambdas: list
-    spike_counts: list
-    trajectories: list
-
-
 def _plant_matrices(plant):
     """(A, B, C) of the plant, linearized about its equilibrium."""
     if isinstance(plant, SmdParams):
@@ -412,8 +405,8 @@ def _closed_loop(sc: Scenario):
         for ids in kills.get(i, ()):
             silence(st, ids)
         ei = e[i]
-        dev, devo = (x, xo) if cart is None else (x - CARTPOLE_UP, xo - CARTPOLE_UP)
-        np.add(C.dot(dev), ei, out=Y[i])
+        # C x = C (x - CARTPOLE_UP): the cartpole observes only the cart position, 0 upright.
+        np.add(C.dot(x), ei, out=Y[i])
         network_step(weights, st, dt, IN[i], next(eta))
         xh = dxv.dot(r, out=XH[i])
         xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
@@ -423,7 +416,7 @@ def _closed_loop(sc: Scenario):
             continue
         zh = dzv.dot(r, out=ZH[i])
         u = np.negative(kc.dot(xh - zh), out=U[i])
-        lqg_step(system, kf, kc, est, C.dot(devo) + ei, z[i], dt)
+        lqg_step(system, kf, kc, est, C.dot(xo) + ei, z[i], dt)
         OXH[i] = est.x_hat
         OU[i] = uo = est.u
         if pulse is not None:
@@ -587,23 +580,21 @@ def _sparsity_runs(sc: Scenario, lambdas) -> list:
     return runs
 
 
-def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> SparsityResult:
-    """Re-run the sparsity scenario once per leak value and count spikes."""
-    runs = _sparsity_runs(sc, lambdas)
-    trajectories = [run_control(run) for run in runs]
-    return SparsityResult(
-        lambdas=[run.leak for run in runs],
-        spike_counts=[t.spike_count for t in trajectories],
-        trajectories=trajectories,
-    )
+def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> list:
+    """Re-run the sparsity scenario once per leak value: one control
+    Trajectory per leak, in order, each holding its leak and spike count."""
+    return [run_control(run) for run in _sparsity_runs(sc, lambdas)]
 
 
 def _sweep_grids(noise_grid, pulse_grid):
-    """The sweep's (noise, pulse) grids as arrays, defaults for None; names a bad entry."""
+    """The sweep's (noise, pulse) grids as 1-D arrays, defaults for None; names a bad entry."""
     noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
                             dtype=float)
     pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
                             dtype=float)
+    for name, grid in (("noise_grid", noise_grid), ("pulse_grid", pulse_grid)):
+        if grid.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
     if noise_grid.size == 0 or pulse_grid.size == 0:
         raise ValueError("grids must be nonempty")
     _require_finite(noise_grid, "noise_grid", "positive",
@@ -640,11 +631,8 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
 
     z = sc.reference.sample_grid(sc.n_steps, sc.dt)[0][:, 0]
 
-    shape = (noise_grid.size, pulse_grid.size)
-    scn_mae = np.full(shape, np.nan)
-    oracle_mae = np.full(shape, np.nan)
-    scn_rmse = np.full(shape, np.nan)
-    oracle_rmse = np.full(shape, np.nan)
+    # scn_mae, oracle_mae, scn_rmse and oracle_rmse; a failed cell stays NaN.
+    metrics = np.full((4, noise_grid.size, pulse_grid.size), np.nan)
     failed = []
     grid = [(a, b) for a in range(noise_grid.size) for b in range(pulse_grid.size)]
     size = max(1, sc.n_neurons // 2)  # two position records per cell
@@ -661,22 +649,19 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
             err_s = np.abs(run[0][:, 0] - z)
             err_o = np.abs(run[0][:, 1] - z)
             with np.errstate(over="ignore"):  # an overflow fails the cell below
-                metrics = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
-                           np.sqrt(np.mean(err_o ** 2)))
-            if not all(map(math.isfinite, metrics)):
+                cell = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
+                        np.sqrt(np.mean(err_o ** 2)))
+            if not all(map(math.isfinite, cell)):
                 failed.append((a, b, "position errors overflow: MAE/RMSE not finite"))
                 continue
-            scn_mae[a, b], oracle_mae[a, b], scn_rmse[a, b], oracle_rmse[a, b] = metrics
-    return SweepResult(noise_grid=noise_grid, pulse_grid=pulse_grid,
-                       scn_mae=scn_mae, oracle_mae=oracle_mae,
-                       scn_rmse=scn_rmse, oracle_rmse=oracle_rmse,
-                       failed_cells=failed, scenario=sc)
+            metrics[:, a, b] = cell
+    return SweepResult(noise_grid, pulse_grid, *metrics, failed_cells=failed, scenario=sc)
 
 
 def summarize(result) -> dict:
     """summary.json of a runner's result, all JSON-serializable: a Trajectory's
-    scalar metrics, a SweepResult's grids and failed cells, or a SparsityResult's
-    spike count per leak. Each call builds its own `artifact_choices` dict."""
+    scalar metrics, a SweepResult's grids and failed cells, or the leak and spike
+    count of each run `run_sparsity` returns. Each call builds its own `artifact_choices`."""
     if isinstance(result, SweepResult):
         sc = result.scenario
         return {"scenario": sc.name, "master_seed": sc.master_seed,
@@ -684,10 +669,11 @@ def summarize(result) -> dict:
                 "pulse_grid": result.pulse_grid.tolist(),
                 "failed_cells": [list(cell) for cell in result.failed_cells],
                 "artifact_choices": _artifact_choices(sc)}
-    if isinstance(result, SparsityResult):
-        sc = result.trajectories[0].scenario  # the leak is the runs' only difference
+    if isinstance(result, list):
+        sc = result[0].scenario  # the leak is the runs' only difference
         return {"scenario": sc.name, "master_seed": sc.master_seed,
-                "lambdas": result.lambdas, "spike_counts": result.spike_counts,
+                "lambdas": [t.scenario.leak for t in result],
+                "spike_counts": [t.spike_count for t in result],
                 "artifact_choices": _artifact_choices(sc)}
     traj, sc = result, result.scenario
     duration = float(sc.duration)  # a library scenario may hold an int

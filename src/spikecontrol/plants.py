@@ -100,7 +100,8 @@ CARTPOLE_UP = np.array([0.0, 0.0, np.pi, 0.0])
 @dataclass
 class PulseSchedule:
     """A rectangular force pulse on the plant's input channel, active on
-    [onset, onset + duration)."""
+    [onset, onset + duration). On a time grid, each edge falls at the first
+    grid time at or after its own time less 1e-9 s, as a reference step does."""
 
     onset: float
     duration: float
@@ -113,6 +114,5 @@ class PulseSchedule:
             _require_finite(getattr(self, key), f"pulse {key}", sign)
 
     def profile(self, tgrid: np.ndarray) -> np.ndarray:
-        return np.where(
-            (tgrid >= self.onset) & (tgrid < self.onset + self.duration), self.magnitude, 0.0
-        )
+        on, off = self.onset - 1e-9, self.onset + self.duration - 1e-9
+        return np.where((tgrid >= on) & (tgrid < off), self.magnitude, 0.0)

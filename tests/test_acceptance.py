@@ -5,8 +5,6 @@ Expensive scenario runs are shared through module fixtures and re-checked by
 the final mechanics suite.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -65,11 +63,10 @@ def cartpole_run():
 
 @pytest.fixture(scope="module")
 def sparsity_runs():
-    sc = sparsity_scenario(7)
-    res = run_sparsity(sc)
-    for lam, traj in zip(res.lambdas, res.trajectories):
-        _REGISTRY[f"sparsity_leak_{lam:g}"] = (replace(sc, leak=lam), traj)
-    return res
+    runs = run_sparsity(sparsity_scenario(7))
+    for traj in runs:
+        _REGISTRY[f"sparsity_leak_{traj.scenario.leak:g}"] = (traj.scenario, traj)
+    return runs
 
 
 def test_a1_riccati_correctness(capsys):
@@ -221,7 +218,7 @@ def test_a7_robustness_sweep(capsys):
 
 
 def test_a8_sparsity_trend(capsys, sparsity_runs):
-    counts = sparsity_runs.spike_counts
+    counts = [traj.spike_count for traj in sparsity_runs]
     expected = (163, 358, 2381)
     ordered = counts[0] < counts[1] < counts[2]
     in_band = all(ref / 3 <= got <= ref * 3 for got, ref in zip(counts, expected))

@@ -719,7 +719,7 @@ def test_summary_of_sweep_and_sparsity_results():
          "failed_cells": [list(cell) for cell in sweep.failed_cells],
          "artifact_choices": experiments._artifact_choices(sc)},
         {"scenario": "sparsity", "master_seed": 4, "lambdas": [0.0, 2.0],
-         "spike_counts": sparse.spike_counts,
+         "spike_counts": [traj.spike_count for traj in sparse],
          "artifact_choices": experiments._artifact_choices(sparse_sc)})
     assert [cell[:2] for cell in summaries[0]["failed_cells"]] == [[0, 1], [1, 1]]
     # The grids go out as Python floats, not numpy scalars.
@@ -757,8 +757,8 @@ def test_results_carry_the_scenario_that_ran():
     assert summarize(sweep)["master_seed"] == sc.master_seed
     sc = replace(sparsity_scenario(2), duration=0.01)
     sparse = run_sparsity(sc, [0.0, 2.0])
-    for leak, traj in zip((0.0, 2.0), sparse.trajectories):
-        assert traj.scenario.leak == leak
+    assert [traj.scenario.leak for traj in sparse] == [0.0, 2.0]
+    for leak, traj in zip((0.0, 2.0), sparse):
         summary = summarize(traj)
         assert {key: summary[key] for key in keys} == settings(replace(sc, leak=leak))
     assert summarize(sparse)["scenario"] == sc.name
@@ -803,6 +803,18 @@ def test_small_sweep_shapes():
         with pytest.raises(ValueError,
                            match=f"noise_grid entry {bad:g} must be finite and positive"):
             run_robustness_sweep(sc, noise_grid=[0.001, bad], pulse_grid=[100.0])
+
+
+def test_sweep_grids_must_be_one_dimensional(monkeypatch):
+    # A nested or scalar grid is refused, naming the grid and its shape,
+    # before any network is built.
+    monkeypatch.setattr(experiments, "_network", None)
+    sc = robustness_scenario(0)
+    for noise, pulse, message in (
+            ([[1e-3, 1e-2]], [300.0], "noise_grid must be one-dimensional, got shape (1, 2)"),
+            ([1e-3], 300.0, "pulse_grid must be one-dimensional, got shape ()")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_robustness_sweep(sc, noise_grid=noise, pulse_grid=pulse)
 
 
 def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):

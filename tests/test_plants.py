@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, PulseSchedule,
-                          SmdParams, cartpole_dynamics, cartpole_linearize_up,
-                          smd_system)
+                          ReferenceSchedule, SmdParams, cartpole_dynamics,
+                          cartpole_linearize_up, smd_system)
 from reference_models import linearize, smd_dynamics
 
 
@@ -138,6 +138,19 @@ def test_pulse_half_open_interval():
     pulse = PulseSchedule(onset=2.5, duration=0.2, magnitude=500.0)
     grid = np.array([2.4999, 2.5, 2.6, 2.6999, 2.7])
     np.testing.assert_array_equal(pulse.profile(grid), [0.0, 500.0, 500.0, 500.0, 0.0])
+
+
+def test_pulse_edges_follow_the_grid_rule():
+    # Each edge falls at the first grid time at or after its own time less
+    # 1e-9 s, where a reference step falls: 9.8 + 0.8 and 0.1 + 0.05 round
+    # just above the grid times 10.6 and 0.15, and the pulse ends there.
+    tgrid = np.arange(11000) * 1e-3
+    for onset, duration, steps in ((9.8, 0.8, range(9800, 10600)),
+                                   (0.1, 0.05, range(100, 150))):
+        on = PulseSchedule(onset, duration, 1.0).profile(tgrid) != 0.0
+        np.testing.assert_array_equal(np.flatnonzero(on), steps)
+        ref = ReferenceSchedule([onset, onset + duration], [[1.0], [0.0]])
+        np.testing.assert_array_equal(ref.sample_grid(len(tgrid), 1e-3)[0][:, 0], on)
 
 
 def test_pulse_validation():

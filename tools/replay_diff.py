@@ -48,10 +48,15 @@ reported with its first differing entry and the largest distance in ulps
 (units in the last place) among its differing entries that are finite on
 both sides, so a rounding change shows its size. The spike and silence logs,
 sweep failures and the scenario each result holds must be equal; every file
-the CLI wrote must be byte-identical. Each report names the tree of every
-value it shows, as `this <value>, other <value>`: "this" is the tree the
-tool sits in, "other" is OTHER_SRC. A run, an array or a CLI file that only
-one tree made is reported as in "this tree" or "the other tree" only.
+the CLI wrote must be byte-identical. `run_sparsity` returns the list of
+its trajectories, each compared as above; a tree whose `run_sparsity`
+returns a `SparsityResult` also stores its `lambdas` and `spike_counts`
+fields, copies of each trajectory's leak and spike count, so against such a
+tree those two keys of A8-sparsity are reported as in that tree only, by
+design. Each report names the tree of every value it shows, as
+`this <value>, other <value>`: "this" is the tree the tool sits in, "other"
+is OTHER_SRC. A run, an array or a CLI file that only one tree made is
+reported as in "this tree" or "the other tree" only.
 Exit status: 0 when nothing differs, 1 on any difference or a crashed
 worker, 2 on a usage error.
 """
@@ -185,7 +190,13 @@ def _flatten(result, prefix: str, out: dict):
     """Store every field of a result dataclass under `prefix`: arrays as they
     are, dataclasses (a trajectory's weights and their decoders) and lists of
     results recursively, everything else as exact JSON. A weights object's
-    `mode`, a field in some trees and a property in others, is stored too."""
+    `mode`, a field in some trees and a property in others, is stored too. A
+    list result, `run_sparsity`'s trajectories, stores item i under
+    `trajectories[i].`, where older trees' `SparsityResult` stores it."""
+    if isinstance(result, list):
+        for i, item in enumerate(result):
+            _flatten(item, f"{prefix}trajectories[{i}].", out)
+        return
     names = {f.name for f in dataclasses.fields(result)}
     if hasattr(result, "mode"):
         names.add("mode")
