@@ -39,6 +39,9 @@ _BUILDERS = {
 _LIST_KEYS = {"sweep.noise_grid": "sweep", "sweep.pulse_grid": "sweep",
               "sparsity.lambdas": "sparsity"}
 
+# A sparsity leak's output directory; {:g} keeps six significant digits.
+_LEAK_DIR = "lambda_{:g}"
+
 _EXPORT_SCENARIOS = {
     "estimation": ex.estimation_scenario,
     "smd_control": ex.smd_control_scenario,
@@ -95,7 +98,7 @@ def _write(out: Path, result):
                                   result.pulse_grid, out / f"{name}.csv")
     elif isinstance(result, list):
         for traj in result:
-            _write(out / f"lambda_{traj.scenario.leak:g}", traj)
+            _write(out / _LEAK_DIR.format(traj.scenario.leak), traj)
     else:
         # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
         stride = 10 if result.scenario.dt <= 1e-4 + 1e-12 else 1
@@ -137,6 +140,10 @@ def run(argv=None) -> int:
     if command == "sparsity":
         with _reraise("sparsity.", ConfigError):
             runs = ex._sparsity_runs(sc, ex.DEFAULT_LAMBDAS if lambdas is None else lambdas)
+        dirs = [_LEAK_DIR.format(run.leak) for run in runs]
+        if len(set(dirs)) < len(dirs):
+            raise ConfigError("sparsity.lambdas: two leaks share the output directory "
+                              + max(dirs, key=dirs.count))
     out = Path(args.out) if args.out else Path("out") / command
     _check_out(out)
     result = {"estimate": lambda: ex.run_estimation(sc),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lqg import LqgState, estimator_step, lqg_step
-from .plants import (CARTPOLE_UP, CartpoleParams, PulseSchedule, SmdParams,
+from .plants import (CARTPOLE_UP, CartpoleParams, PulseSchedule, SmdParams, _grid_steps,
                      cartpole_dynamics, cartpole_linearize_up, smd_system)
 from .riccati import LqrCost, kalman_gain, lqr_gain
 from .scn import (NetworkDivergedError, ScnWeights, build_controller,
@@ -71,15 +71,11 @@ class ReferenceSchedule:
         if len(self.times) > 1 and np.diff(self.times).min() <= 0:
             raise ValueError("schedule times must be strictly increasing")
 
-    @property
-    def state_dim(self):
-        return self.values.shape[1]
-
     def sample_grid(self, n: int, dt: float):
-        tgrid = np.arange(n) * dt
-        idx = np.searchsorted(self.times, tgrid + 1e-9, side="right")
-        extended = np.vstack([np.zeros((1, self.state_dim)), self.values])
-        z = extended[idx]
+        # The zero state, then values[k] from the step times[k] falls on.
+        starts = _grid_steps(np.arange(n) * dt, self.times)
+        rows = np.vstack([np.zeros_like(self.values[:1]), self.values])
+        z = np.repeat(rows, np.diff(starts, prepend=0, append=n), axis=0)
         zdot = np.zeros_like(z)
         zdot[:-1] = (z[1:] - z[:-1]) / dt
         return z, zdot
@@ -324,10 +320,10 @@ def _noise_rows(sc: Scenario, system: LinearSystem):
 
 def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
     """{step: neuron ids of each silencing block applied before it, in order}. A block
-    applies at the first step whose time is at least its own less 1e-9 s, if there is one."""
+    applies at the step `_grid_steps` gives for its time, if the run has that step."""
     kills = {}
     for t, ids in sc.silencing or ():
-        kills.setdefault(int(np.searchsorted(time, t - 1e-9)), []).append(ids)
+        kills.setdefault(int(_grid_steps(time, t)), []).append(ids)
     return kills
 
 
@@ -491,8 +487,7 @@ def _lockstep(sc: Scenario, cells):
     dxv, dzv = weights.decoder_x.values, weights.decoder_z.values  # any network's
     time = np.arange(n) * dt
     kills = _silencing_steps(sc, time)
-    # A cell's pulse force is its magnitude inside the pulse window, else 0.
-    pulse_on = replace(sc.pulse, magnitude=1.0).profile(time) != 0.0
+    on, off = sc.pulse.window(time)  # a cell's pulse force is its magnitude on [on, off)
     out = [None] * len(cells)
     live = [(j, weights, new_state(weights), kf, LqgState(np.zeros(system.state_dim)))
             for j, (_, kf, _, weights) in enumerate(nets[sn] for sn, _ in cells)]
@@ -529,7 +524,7 @@ def _lockstep(sc: Scenario, cells):
         if not live:
             return out
         U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
-        up = U + (pulse if pulse_on[i] else 0.0)
+        up = U + (pulse if on <= i < off else 0.0)
         X = X + dt * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
         positions[i] = X[:, 0, 0]
     for j, _, st, _, _ in live:
@@ -646,11 +641,9 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
             if isinstance(run, NetworkDivergedError):
                 failed.append((a, b, str(run)))
                 continue
-            err_s = np.abs(run[0][:, 0] - z)
-            err_o = np.abs(run[0][:, 1] - z)
             with np.errstate(over="ignore"):  # an overflow fails the cell below
-                cell = (err_s.mean(), err_o.mean(), np.sqrt(np.mean(err_s ** 2)),
-                        np.sqrt(np.mean(err_o ** 2)))
+                scn, ideal = _errors(run[0][:, 0] - z), _errors(run[0][:, 1] - z)
+            cell = (scn[0], ideal[0], scn[1], ideal[1])  # in the order of `metrics`
             if not all(map(math.isfinite, cell)):
                 failed.append((a, b, "position errors overflow: MAE/RMSE not finite"))
                 continue
@@ -662,63 +655,54 @@ def summarize(result) -> dict:
     """summary.json of a runner's result, all JSON-serializable: a Trajectory's
     scalar metrics, a SweepResult's grids and failed cells, or the leak and spike
     count of each run `run_sparsity` returns. Each call builds its own `artifact_choices`."""
+    # The leak is all that differs between the runs of a sparsity list.
+    sc = (result[0] if isinstance(result, list) else result).scenario
+    out = {"scenario": sc.name, "master_seed": sc.master_seed,
+           "artifact_choices": _artifact_choices(sc)}
     if isinstance(result, SweepResult):
-        sc = result.scenario
-        return {"scenario": sc.name, "master_seed": sc.master_seed,
-                "noise_grid": result.noise_grid.tolist(),
-                "pulse_grid": result.pulse_grid.tolist(),
-                "failed_cells": [list(cell) for cell in result.failed_cells],
-                "artifact_choices": _artifact_choices(sc)}
+        out.update(noise_grid=result.noise_grid.tolist(), pulse_grid=result.pulse_grid.tolist(),
+                   failed_cells=[list(cell) for cell in result.failed_cells])
+        return out
     if isinstance(result, list):
-        sc = result[0].scenario  # the leak is the runs' only difference
-        return {"scenario": sc.name, "master_seed": sc.master_seed,
-                "lambdas": [t.scenario.leak for t in result],
-                "spike_counts": [t.spike_count for t in result],
-                "artifact_choices": _artifact_choices(sc)}
-    traj, sc = result, result.scenario
+        out.update(lambdas=[t.scenario.leak for t in result],
+                   spike_counts=[t.spike_count for t in result])
+        return out
+    traj = result
     duration = float(sc.duration)  # a library scenario may hold an int
-    out = {
-        "scenario": sc.name,
-        "master_seed": sc.master_seed,
-        "n_neurons": sc.n_neurons,
-        "dt": sc.dt,
-        "duration": duration,
-        "leak": sc.leak,
-        "spike_count": traj.spike_count,
-        "spikes_per_second": traj.spike_count / duration,
-        "rmse_vs_oracle": _rmse(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0]),
-        "artifact_choices": _artifact_choices(sc),
-    }
+    out.update(n_neurons=sc.n_neurons, dt=sc.dt, duration=duration, leak=sc.leak,
+               spike_count=traj.spike_count, spikes_per_second=traj.spike_count / duration,
+               rmse_vs_oracle=_errors(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0])[1])
     if traj.z is not None:
         err = traj.x[:, 0] - traj.z[:, 0]
         out["phase_errors"] = _phase_errors(traj)
     else:  # estimation runs: the reference is the true plant state
         err = traj.x_hat[:, 0] - traj.x[:, 0]
-    out["rmse_vs_reference"] = _rmse(err)
-    out["mae_vs_reference"] = float(np.mean(np.abs(err)))
+    out["mae_vs_reference"], out["rmse_vs_reference"] = _errors(err)
     if sc.name == "cartpole":
         out["max_pole_deviation"] = float(np.abs(traj.x[:, 2]).max())
     return out
 
 
-def _rmse(err: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.asarray(err) ** 2)))
+def _errors(err: np.ndarray) -> tuple:
+    """(MAE, RMSE) of an error series, as floats."""
+    err = np.abs(err)
+    return float(err.mean()), float(np.sqrt(np.mean(err ** 2)))
 
 
 def _phase_errors(traj: Trajectory) -> list:
-    """Position error per constant-reference segment."""
+    """Position error per constant-reference segment; `_grid_steps` places its bounds."""
     duration = float(traj.scenario.duration)
     times = traj.scenario.reference.times
     bounds = [0.0] + [float(t) for t in times if t < duration] + [duration]
+    steps = _grid_steps(traj.time, bounds)
     phases = []
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        mask = (traj.time >= start - 1e-9) & (traj.time < end - 1e-9)
-        if not mask.any():
+    for start, end, on, off in zip(bounds, bounds[1:], steps, steps[1:]):
+        if on >= off:
             continue
-        err = np.abs(traj.x[mask, 0] - traj.z[mask, 0])
+        err = np.abs(traj.x[on:off, 0] - traj.z[on:off, 0])
         phases.append({
             "start": start, "end": end,
-            "level": float(traj.z[mask, 0][-1]),
+            "level": float(traj.z[off - 1, 0]),
             "mae": float(err.mean()),
             "min_abs_error": float(err.min()),
         })

@@ -8,6 +8,12 @@ import numpy as np
 from .state_space import _require_finite
 
 
+def _grid_steps(tgrid: np.ndarray, times) -> np.ndarray:
+    """The step each scheduled event at `times` falls on in the ascending grid `tgrid`:
+    the first whose time is at least the event's less 1e-9 s, or len(tgrid) if none is."""
+    return np.searchsorted(tgrid, np.asarray(times) - 1e-9)
+
+
 @dataclass
 class SmdParams:
     """Spring-mass-damper: mass m, spring constant k, damping c."""
@@ -100,8 +106,8 @@ CARTPOLE_UP = np.array([0.0, 0.0, np.pi, 0.0])
 @dataclass
 class PulseSchedule:
     """A rectangular force pulse on the plant's input channel, active on
-    [onset, onset + duration). On a time grid, each edge falls at the first
-    grid time at or after its own time less 1e-9 s, as a reference step does."""
+    [onset, onset + duration). On a time grid, each edge falls on the step
+    `_grid_steps` gives, as a reference step does."""
 
     onset: float
     duration: float
@@ -113,6 +119,12 @@ class PulseSchedule:
         for key, sign in (("onset", "nonnegative"), ("duration", "positive")):
             _require_finite(getattr(self, key), f"pulse {key}", sign)
 
+    def window(self, tgrid: np.ndarray):
+        """The steps [on, off) of the time grid `tgrid` the pulse is active on."""
+        return _grid_steps(tgrid, [self.onset, self.onset + self.duration])
+
     def profile(self, tgrid: np.ndarray) -> np.ndarray:
-        on, off = self.onset - 1e-9, self.onset + self.duration - 1e-9
-        return np.where((tgrid >= on) & (tgrid < off), self.magnitude, 0.0)
+        on, off = self.window(tgrid)
+        force = np.zeros(len(tgrid))
+        force[on:off] = self.magnitude
+        return force

@@ -10,10 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spikecontrol import (CARTPOLE_UP, CartpoleParams, ConfigError,
                           LinearSystem, LqgState, LqrCost, NetworkDivergedError,
-                          ReferenceSchedule, Scenario, SmdParams,
+                          PulseSchedule, ReferenceSchedule, Scenario, SmdParams,
                           apply_config, build_estimator,
                           build_network, cartpole_scenario,
                           estimation_scenario, estimator_step, experiments, kalman_gain,
@@ -127,6 +128,8 @@ def test_scenario_validation():
         replace(base, master_seed=-1)
     with pytest.raises(ValueError, match="x0 has 1 entries"):
         replace(base, x0=[1.0])
+    with pytest.raises(TypeError, match="unsupported plant object"):
+        replace(base, plant=object())
     with pytest.raises(ValueError, match="silencing ids 0..44 are out of range"):
         replace(smd_control_scenario(0, with_silencing=True), n_neurons=20)
     # Forward Euler must be stable for the network and for a stable plant.
@@ -213,6 +216,8 @@ def test_scenario_validation():
     # Each leak of a sparsity run obeys the leak rules, named by its entry.
     with pytest.raises(ValueError, match="lambdas entry -1: leak = -1 must be finite"):
         run_sparsity(sparsity_scenario(0), [-1.0, 0.0])
+    with pytest.raises(ValueError, match="lambdas must be nonempty"):
+        run_sparsity(sparsity_scenario(0), [])
 
 
 def test_scenario_sorts_silencing():
@@ -396,6 +401,17 @@ def test_control_requires_cost_and_reference():
     sc = estimation_scenario(0)
     with pytest.raises(ValueError, match="cost and a reference"):
         run_control(sc)
+    # Each runner refuses, before its first step, a scenario it cannot run.
+    cart, smd = cartpole_scenario(0), robustness_scenario(0)
+    for run, bad, message in (
+            (run_control, cart, "use run_cartpole for the cartpole"),
+            (run_cartpole, smd, "run_cartpole needs a cartpole scenario"),
+            (run_cartpole, replace(cart, cost=None), "cartpole run needs a cost"),
+            (run_robustness_sweep, replace(smd, pulse=None), "a pulse template"),
+            (run_robustness_sweep, replace(cart, pulse=smd.pulse),
+             "the sweep integrates the linear plant")):
+        with pytest.raises(ValueError, match=message):
+            run(bad)
 
 
 def test_silencing_is_enforced(ctrl_silenced):
@@ -471,6 +487,56 @@ def test_closed_loop_and_lockstep_silence_at_the_same_step(monkeypatch):
     assert closed_loop == calls == want
 
 
+# An event time near grid time k * dt: well inside the 1e-9 s tolerance (that
+# step), or 2e-9 s before (that step) or after it (the next step).
+_NEAR_GRID = st.tuples(st.integers(1, 60),
+                       st.floats(-5e-10, 5e-10) | st.sampled_from([-2e-9, 2e-9]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(1e-4, 1e-2), events=st.lists(_NEAR_GRID, min_size=5, max_size=5))
+def test_every_event_lands_on_the_grid_by_one_rule(dt, events):
+    # A reference step, each pulse edge, a silencing block, each phase
+    # segment's bounds and `_lockstep`'s pulse window all fall on the first
+    # grid step whose time is at least the event's time less 1e-9 s.
+    n = 64
+    time, steps = np.arange(n) * dt, np.arange(n)
+    ref_1, ref_2, onset, end, kill = (k * dt + offset for k, offset in events)
+    assume(ref_1 < ref_2 and onset < end)
+
+    def step(t):
+        return int(np.searchsorted(time, t - 1e-9))
+
+    reference = ReferenceSchedule([ref_1, ref_2], [[1.0, 0.0], [2.0, 0.0]])
+    z = reference.sample_grid(n, dt)[0][:, 0]
+    np.testing.assert_array_equal(z, 1.0 * (steps >= step(ref_1)) + (steps >= step(ref_2)))
+    pulse = PulseSchedule(onset=onset, duration=end - onset, magnitude=300.0)
+    on, off = step(pulse.onset), step(pulse.onset + pulse.duration)
+    np.testing.assert_array_equal(pulse.profile(time), np.where(
+        (steps >= on) & (steps < off), 300.0, 0.0))
+    sc = replace(robustness_scenario(0), dt=dt, duration=n * dt, n_neurons=4,
+                 reference=reference, pulse=pulse, silencing=[(kill, (0, 1))])
+    assert sc.n_steps == n
+    assert experiments._silencing_steps(sc, time) == {step(kill): [(0, 1)]}
+    # The lockstep engine places the pulse, the reference and the block where
+    # the closed loop does, or the plant states would differ.
+    traj, x_end, xo_end = experiments._closed_loop(sc)
+    [(positions, final, spikes)] = experiments._lockstep(sc, [(sc.sigma_n, 300.0)])
+    want = np.column_stack((np.append(traj.x[1:, 0], x_end[0]),
+                            np.append(traj.oracle_x[1:, 0], xo_end[0])))
+    assert _bitwise_equal(positions, want) and _bitwise_equal(final, [x_end, xo_end])
+    assert spikes == traj.spikes
+    # Error |x - z| = step + 1 and z = step on each row: a segment's least
+    # error is its first step + 1, and its level its last step.
+    coded = replace(traj, x=np.column_stack((2 * steps + 1.0, steps)),
+                    z=np.column_stack((steps * 1.0, steps)))
+    bounds = [0.0, ref_1, ref_2, n * dt]
+    want = [(start, end, step(end) - 1.0, step(start) + 1.0)
+            for start, end in zip(bounds, bounds[1:]) if step(start) < step(end)]
+    assert [(p["start"], p["end"], p["level"], p["min_abs_error"])
+            for p in experiments._phase_errors(coded)] == want
+
+
 def test_spike_raster_integrity(ctrl_silenced):
     traj = ctrl_silenced
     times = np.array([t for t, _ in traj.spikes])
@@ -534,6 +600,10 @@ def test_summary_keys_and_phases(ctrl_silenced):
     phases = s["phase_errors"]
     assert [p["level"] for p in phases] == [0.0, 2.0]
     assert phases[1]["start"] == 10.0 and phases[1]["end"] == 12.0
+    # A reference step at t = 0 leaves the segment before it without steps.
+    hold = run_control(replace(robustness_scenario(7), duration=0.01))
+    assert [(p["start"], p["end"], p["level"])
+            for p in summarize(hold)["phase_errors"]] == [(0.0, 0.01, 1.0)]
 
 
 def test_summary_estimation_uses_plant_as_reference(est_short):
@@ -812,7 +882,9 @@ def test_sweep_grids_must_be_one_dimensional(monkeypatch):
     sc = robustness_scenario(0)
     for noise, pulse, message in (
             ([[1e-3, 1e-2]], [300.0], "noise_grid must be one-dimensional, got shape (1, 2)"),
-            ([1e-3], 300.0, "pulse_grid must be one-dimensional, got shape ()")):
+            ([1e-3], 300.0, "pulse_grid must be one-dimensional, got shape ()"),
+            ([], [300.0], "grids must be nonempty"),
+            ([1e-3], [], "grids must be nonempty")):
         with pytest.raises(ValueError, match=re.escape(message)):
             run_robustness_sweep(sc, noise_grid=noise, pulse_grid=pulse)
 
@@ -902,6 +974,10 @@ def test_lockstep_cells_match_closed_loop_bitwise(monkeypatch, seed):
     assert any(m.startswith("network diverged at step") for m in messages)
     assert any(m.startswith("closed loop diverged") for m in messages)
     assert [msg for _, _, msg in res.failed_cells if "overflow" not in msg] == messages
+    # A batch whose every cell diverges ends at the step the last one leaves.
+    res, batches, messages = _match_closed_loop(monkeypatch, sc, [1e-7], [1e308, -1e308])
+    assert batches == 1 and len(messages) == 2
+    assert all(m.startswith("network diverged at step") for m in messages)
 
 
 def test_lockstep_cells_match_closed_loop_across_voltage_blocks(monkeypatch):
@@ -1029,9 +1105,11 @@ def test_apply_config_overrides():
 def test_apply_config_silencing_toggle():
     on = apply_config(smd_control_scenario(0), {"silencing.enabled": True})
     assert on.name == "silencing" and len(on.silencing) == 3
-    off = apply_config(smd_control_scenario(0, with_silencing=True),
-                       {"silencing.enabled": False})
-    assert off.name == "smd_control" and off.silencing is None
+    # A config file's false, no and off (any case) read as False.
+    for cfg in ({"silencing.enabled": False}, parse_config("silencing.enabled = false"),
+                parse_config("silencing.enabled = No"), parse_config("silencing.enabled = OFF")):
+        off = apply_config(smd_control_scenario(0, with_silencing=True), cfg)
+        assert off.name == "smd_control" and off.silencing is None
 
 
 def test_apply_config_rejections():
@@ -1052,6 +1130,12 @@ def test_apply_config_rejections():
         apply_config(base, {"cost.q": (1.0, 1.0), "cost.r": -1.0})
     with pytest.raises(ConfigError, match="bad config value"):
         apply_config(base, {"integration.dt": -1.0})
+    with pytest.raises(ConfigError, match="silencing.enabled expects true/false, got 1"):
+        apply_config(base, parse_config("silencing.enabled = 1"))
+    with pytest.raises(ConfigError, match="reference.times and reference.positions differ"):
+        apply_config(base, parse_config("reference.times = 1, 2\nreference.positions = 3"))
+    with pytest.raises(ConfigError, match="noise.sigma_n expects a number, got 'abc'"):
+        apply_config(base, parse_config("noise.sigma_n = abc"))
 
 
 def test_apply_config_cost_partial_update():
@@ -1373,6 +1457,24 @@ def test_cli_sparsity_outputs(tmp_path):
         for name in ("trajectory.csv", "spikes.csv", "summary.json",
                      "weights.json"):
             assert (sub / name).is_file()
+
+
+def test_cli_sparsity_refuses_leaks_that_share_a_directory(tmp_path, capsys, monkeypatch):
+    # Each leak writes into lambda_{leak:g}, which keeps six significant
+    # digits, so two leaks that print alike would write one directory, the
+    # second run over the first. That is refused before any run.
+    def never(*args):
+        raise AssertionError("ran despite two leaks sharing a directory")
+
+    monkeypatch.setattr(experiments, "run_sparsity", never)
+    cfg, out = tmp_path / "sparsity.cfg", tmp_path / "out"
+    for lambdas, shared in (("1, 1.0000001", "lambda_1"), ("1, 1", "lambda_1"),
+                            ("0.5, 2, 0.50000001", "lambda_0.5")):
+        cfg.write_text(f"sparsity.lambdas = {lambdas}\n")
+        assert cli_main(["sparsity", "--config", str(cfg), "--out", str(out)]) == 2, lambdas
+        assert capsys.readouterr().err == (
+            f"error: sparsity.lambdas: two leaks share the output directory {shared}\n")
+        assert not out.exists(), lambdas
 
 
 def test_cli_export_weights_roundtrip(tmp_path):

@@ -302,6 +302,10 @@ def test_controller_population_mismatch():
         build_controller(sys, np.zeros((2, 1)), np.zeros((1, 2)),
                          sample_decoder(2, 6, 0.1, seed=0),
                          sample_decoder(2, 7, 0.1, seed=1), leak=0.1)
+    with pytest.raises(ValueError, match="decoder dimensions must match system state"):
+        build_controller(sys, np.zeros((2, 1)), np.zeros((1, 2)),
+                         sample_decoder(2, 6, 0.1, seed=0),
+                         sample_decoder(3, 6, 0.1, seed=1), leak=0.1)
 
 
 # ---------------------------------------------------------------------------

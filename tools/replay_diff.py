@@ -18,6 +18,11 @@ side by side, with BLAS pinned to one thread):
 - a 3 x 3 sweep of six neurons over 22 000 steps through the runner: its
   three batches each draw their voltage rows in blocks of 21 845, so every
   batch crosses a block boundary;
+- a 0.3 s control run whose reference steps, pulse edges and silencing
+  blocks each fall 5e-10 s or 2e-9 s before or after a grid time (dt =
+  1e-3), through the runner, the sweep (so `_lockstep` places them too)
+  and the CLI (reference and pulse only; the CLI sets no silencing time),
+  so a change in where an event lands on the grid shows as a shifted step;
 - a 0.6 s cartpole run with a 50 N pulse and a third of the neurons silenced
   during it, the pole kept up, through the runner (so the nonlinear plant is
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
@@ -80,6 +85,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # The sweep case's axes: the 1e-7 row diverges under the 1e308 pulse.
 SWEEP_NOISE = (1e-7, 1e-5, 0.01)
 SWEEP_PULSE = (300.0, 1e308, 900.0)
+# Event times of the grid-edge cases at dt = 1e-3, each 5e-10 s or 2e-9 s from
+# a grid time: within the grid rule's 1e-9 s tolerance (that step) or past it.
+EDGE_REFERENCE = (0.02 + 5e-10, 0.06 - 5e-10, 0.1 + 2e-9, 0.14 - 2e-9)
+EDGE_PULSE = (0.05 - 2e-9, 0.21 + 5e-10)  # onset and end
+EDGE_SILENCING = [(0.08 + 2e-9, tuple(range(0, 50, 5))),
+                  (0.17 - 5e-10, tuple(range(1, 50, 5)))]
 # Bad inputs, as (command line, config file text or None); MISSING stands for
 # a config file that does not exist, FILE for a regular file.
 REFUSALS = [
@@ -269,6 +280,13 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             return Refusal(code, err.getvalue().replace(str(work), "."), out.exists())
         return thunk
 
+    def grid_edges(seed):
+        onset, end = EDGE_PULSE
+        return replace(
+            ex.smd_control_scenario(seed), duration=0.3, silencing=EDGE_SILENCING,
+            reference=ex.stair_reference([1.0, 2.0, 3.0, 4.0], EDGE_REFERENCE, 2),
+            pulse=PulseSchedule(onset=onset, duration=end - onset, magnitude=50.0))
+
     cases = []
     for seed in seeds:
         for workload in WORKLOADS.values():
@@ -291,6 +309,18 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             f"sweep.pulse_grid = {', '.join(map(repr, SWEEP_PULSE))}\n"
             "silencing.enabled = true\nintegration.dt = 0.001\n"
             "integration.duration = 11\npulse.onset = 9.8\npulse.duration = 0.8\n")))
+        cases.append((f"control-grid-edges-s{seed}",
+                      lambda s=seed: ex.run_control(grid_edges(s))))
+        cases.append((f"sweep-grid-edges-s{seed}", lambda s=seed: ex.run_robustness_sweep(
+            grid_edges(s), (1e-3, 0.1), (50.0, -300.0))))
+        onset, end = EDGE_PULSE
+        cases.append((f"cli-control-grid-edges-s{seed}", cli_run(
+            "control-grid-edges", seed, ["control"],
+            "integration.duration = 0.3\n"
+            f"reference.times = {', '.join(map(repr, EDGE_REFERENCE))}\n"
+            "reference.positions = 1, 2, 3, 4\n"
+            f"pulse.onset = {onset!r}\npulse.duration = {end - onset!r}\n"
+            "pulse.magnitude = 50\n")))
         # The silencing block falls inside the pulse, 0.28-0.33 s.
         cases.append((f"cartpole-pulse-silencing-s{seed}", lambda s=seed: ex.run_cartpole(
             replace(ex.cartpole_scenario(s), duration=0.6,
