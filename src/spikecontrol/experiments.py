@@ -407,12 +407,12 @@ def _closed_loop(sc: Scenario):
         xh = dxv.dot(r, out=XH[i])
         xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
         if kc is None:
-            OXH[i] = estimator_step(system, kf, est, Y[i], u0, dt).x_hat
+            OXH[i] = estimator_step(system, kf, est, Y[i], u0, dt_arr).x_hat
             x = np.add(x + dt_arr * A.dot(x), wi, out=xn)
             continue
         zh = dzv.dot(r, out=ZH[i])
         u = np.negative(kc.dot(xh - zh), out=U[i])
-        lqg_step(system, kf, kc, est, C.dot(xo) + ei, z[i], dt)
+        lqg_step(system, kf, kc, est, C.dot(xo) + ei, z[i], dt_arr)
         OXH[i] = est.x_hat
         OU[i] = uo = est.u
         if pulse is not None:
@@ -477,6 +477,7 @@ def _lockstep(sc: Scenario, cells):
     the (2, K) final plant states and the spike log.
     """
     n, dt = sc.n_steps, sc.dt
+    dt_arr = np.array(dt)  # the same product as a Python float, converted once
     nets, kc = {}, None
     for sn in dict.fromkeys(sn for sn, _ in cells):  # each distinct sigma_n once
         system, _, kc, weights = nets[sn] = _network(replace(sc, sigma_n=sn), kc)
@@ -497,8 +498,10 @@ def _lockstep(sc: Scenario, cells):
     X = np.repeat(sc.x0[None, :, None], 2 * len(cells), axis=0)
     scale = np.repeat([[[np.sqrt(sn)]] for sn, _ in cells], 2, axis=0)
     pulse = np.repeat([[[m]] for _, m in cells], 2, axis=0)
-    U = np.empty((len(X), system.input_dim, 1))
-    IN = np.empty((len(cells), p + 2 * K))  # row j: cell j's network input
+    U, Y3 = np.empty((len(X), system.input_dim, 1)), np.empty((len(X), p, 1))
+    IN, Y = np.empty((len(cells), p + 2 * K)), Y3[:, :, 0]  # row j of IN: cell j's input
+    # Cell j's network input, oracle observation and oracle control, as views.
+    rows = [(IN[j], Y[2 * j + 1], U[2 * j + 1, :, 0]) for j in range(len(cells))]
     positions = np.empty((n, len(X)))
     R = np.array([st.r for _, _, st, _, _ in live])  # row j: cell j's r
     for (_, _, st, _, _), r in zip(live, R):
@@ -508,24 +511,25 @@ def _lockstep(sc: Scenario, cells):
         for ids in kills.get(i, ()):
             for _, _, st, _, _ in live:
                 silence(st, ids)
-        Y = (np.matmul(C, X) + scale * e3[i])[:, :, 0]
+        np.add(np.matmul(C, X), scale * e3[i], out=Y3)
         zi, etai = z[i], next(eta)
         IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]
         for cell in tuple(live):
             j, weights, st, kf, est = cell
+            inp, yo, uo = rows[j]
             try:
-                network_step(weights, st, dt, IN[j], etai)
+                network_step(weights, st, dt, inp, etai)
             except NetworkDivergedError as err:
                 out[j] = err
                 live.remove(cell)
                 continue
-            lqg_step(system, kf, kc, est, Y[2 * j + 1], zi, dt)
-            U[2 * j + 1, :, 0] = est.u
+            lqg_step(system, kf, kc, est, yo, zi, dt_arr)
+            uo[...] = est.u
         if not live:
             return out
         U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
         up = U + (pulse if on <= i < off else 0.0)
-        X = X + dt * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
+        X = X + dt_arr * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
         positions[i] = X[:, 0, 0]
     for j, _, st, _, _ in live:
         final = X[2 * j:2 * j + 2, :, 0]

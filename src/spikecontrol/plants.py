@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def smd_system(p: SmdParams):
     return A, B, C
 
 
-@dataclass
+@dataclass(frozen=True)
 class CartpoleParams:
     """Cart of mass M on a frictional track (coefficient d), pole mass m, length L.
 
@@ -56,27 +57,33 @@ class CartpoleParams:
         for key in ("m", "M", "L"):
             _require_finite(getattr(self, key), f"plant {key}", "positive")
 
+    @cached_property
+    def _terms(self):
+        """(m L^2, -m^2 L^2 g, m L, (m + M) m g L, m, M, d), each product grouped as
+        `cartpole_dynamics` wrote it out, once per plant: frozen, it cannot go stale."""
+        m, M, L, g = self.m, self.M, self.L, self.g
+        return m * L**2, -(m**2) * L**2 * g, m * L, (m + M) * m * g * L, m, M, self.d
+
 
 def cartpole_dynamics(p: CartpoleParams, x, u):
     """State rate for x = (cart pos, cart vel, pole angle, pole ang. vel), force u."""
     # A Python float force and a float64 state, as the closed loop passes
     # them, need no conversion.
     if type(u) is not float:
-        u = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
+        if np.size(u) != 1:
+            raise ValueError(f"force must be a single value, got {np.size(u)}")
+        u = float(np.asarray(u).item())
     if type(x) is not np.ndarray or x.dtype != np.float64:
         x = np.asarray(x, dtype=float)
     # Python floats and math.sin/cos: the same IEEE operations as on numpy
     # scalars, without their per-operation dispatch.
     _, vel, theta, omega = x.tolist()
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    den = p.m * p.L**2 * (p.M + p.m * (1.0 - cos_t**2))
-    swing = p.m * p.L * omega**2 * sin_t - p.d * vel
-    acc_cart = (
-        -(p.m**2) * p.L**2 * p.g * cos_t * sin_t + p.m * p.L**2 * swing + p.m * p.L**2 * u
-    ) / den
-    acc_pole = (
-        (p.m + p.M) * p.m * p.g * p.L * sin_t - p.m * p.L * cos_t * swing - p.m * p.L * cos_t * u
-    ) / den
+    mL2, k_cart, mL, k_pole, m, M, d = p._terms
+    den = mL2 * (M + m * (1.0 - cos_t**2))
+    swing = mL * omega**2 * sin_t - d * vel
+    acc_cart = (k_cart * cos_t * sin_t + mL2 * swing + mL2 * u) / den
+    acc_pole = (k_pole * sin_t - mL * cos_t * swing - mL * cos_t * u) / den
     return np.array([vel, acc_cart, omega, acc_pole])
 
 

@@ -178,6 +178,8 @@ class ScnState:
     step: int = 0
     any_silenced: bool = False
     silence_log: list = field(default_factory=list)
+    # network_step's (dt, leak) objects, then dt, leak and 1 - leak dt as 0-d arrays
+    scalars: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
 def new_state(weights: ScnWeights) -> ScnState:
@@ -213,24 +215,28 @@ def network_step(weights: ScnWeights, state: ScnState, dt: float, inputs,
     Returns (state, spiked neuron index or None); `state` is mutated in place.
     """
     D, v, r = weights.decoders, state.v, state.r
+    if state.scalars[0] is not dt or state.scalars[1] is not weights.leak:
+        leak = weights.leak
+        state.scalars = (dt, leak, np.array(dt), np.array(leak), np.array(1.0 - leak * dt))
+    _, _, dt_a, leak_a, decay = state.scalars
     # ndarray.dot (half the cost of `@` here) and array methods skip np.* dispatch.
     q = weights.recurrent.dot(D.dot(r))
     q += weights.input_op.dot(inputs)
-    v += dt * (q.dot(D) - weights.leak * v)
+    v += dt_a * (q.dot(D) - leak_a * v)
     if noise is not None:
         v += noise
     if np.count_nonzero(np.isfinite(v)) != v.size:  # isfinite(v).all() at half the cost
         raise NetworkDivergedError(
             f"network diverged at step {state.step} (t={state.t:.6g})"
         )
-    r *= 1.0 - weights.leak * dt
+    r *= decay
 
     excess = v - weights.thresholds
     if state.any_silenced:
         excess[state.silenced] = -np.inf
     winner = int(excess.argmax())
     spike = None
-    if excess[winner] > 0.0:
+    if excess.item(winner) > 0.0:
         v -= D[:, winner].dot(D)
         r[winner] += 1.0
         state.spike_log.append((state.t, winner))

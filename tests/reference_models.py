@@ -10,11 +10,14 @@ that tests can pin the in-place assembly to it bit for bit, and
 `estimator_step` and `lqg_step` are the oracle step as it was written when it
 converted every argument to a float array first (`_array`), kept so that
 tests can pin the step without that conversion to it bit for bit.
+`network_step` is the network step as it was written when it read dt and the
+leak as Python floats on every call, kept so that tests can pin the step that
+converts them once per (dt, leak) to it bit for bit.
 """
 
 import numpy as np
 
-from spikecontrol import LinearSystem, LqgState, SmdParams
+from spikecontrol import LinearSystem, LqgState, NetworkDivergedError, SmdParams
 from spikecontrol.riccati import CareSolution
 
 
@@ -162,3 +165,32 @@ def lqg_step(model: LinearSystem, kalman_gain, lqr_gain, st: LqgState,
     # differ in the sign of the zero.
     u = (-_array(lqr_gain, 2)).dot(st.x_hat - _array(z, 1))
     return estimator_step(model, kalman_gain, st, y, u, dt)
+
+
+def network_step(weights, state, dt: float, inputs, noise=None):
+    """Advance the network one Euler step; at most one neuron spikes."""
+    D, v, r = weights.decoders, state.v, state.r
+    q = weights.recurrent.dot(D.dot(r))
+    q += weights.input_op.dot(inputs)
+    v += dt * (q.dot(D) - weights.leak * v)
+    if noise is not None:
+        v += noise
+    if np.count_nonzero(np.isfinite(v)) != v.size:
+        raise NetworkDivergedError(
+            f"network diverged at step {state.step} (t={state.t:.6g})"
+        )
+    r *= 1.0 - weights.leak * dt
+
+    excess = v - weights.thresholds
+    if state.any_silenced:
+        excess[state.silenced] = -np.inf
+    winner = int(excess.argmax())
+    spike = None
+    if excess[winner] > 0.0:
+        v -= D[:, winner].dot(D)
+        r[winner] += 1.0
+        state.spike_log.append((state.t, winner))
+        spike = winner
+    state.step += 1
+    state.t = state.step * dt
+    return state, spike

@@ -6,14 +6,16 @@ formulas, on random plants, and check the factored step against them, then
 run a fixed controller against a dense reference stepper spike for spike.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from spikecontrol import (LinearSystem, ScnState, build_controller, build_network,
-                          kalman_gain, network_step, new_state, sample_decoder,
-                          silence, smd_control_scenario)
+import reference_models
+from spikecontrol import (LinearSystem, ScnState, build_controller, build_estimator,
+                          build_network, kalman_gain, network_step, new_state,
+                          sample_decoder, silence, smd_control_scenario)
 
 
 def _dense(sys, kf, kc, Dx, Dz, leak):
@@ -28,6 +30,14 @@ def _dense(sys, kf, kc, Dx, Dz, leak):
             "thresholds": 0.5 * (np.sum(Dx * Dx, axis=0) + np.sum(Dz * Dz, axis=0))}
 
 
+def _random_plant(rng, K, p, m):
+    """A random Hurwitz plant of state size K, p outputs and m inputs."""
+    A = rng.standard_normal((K, K))
+    A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.1, 2.0)) * np.eye(K)
+    return LinearSystem(A=A, B=rng.standard_normal((K, m)), C=rng.standard_normal((p, K)),
+                        sigma_d=np.eye(K), sigma_n=np.eye(p))
+
+
 @st.composite
 def controllers(draw):
     """A random controller on a random Hurwitz plant (K <= 4, N <= 300)."""
@@ -37,11 +47,7 @@ def controllers(draw):
     m = draw(st.integers(1, 2))
     leak = draw(st.floats(0.0, 10.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((K, K))
-    A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.1, 2.0)) * np.eye(K)
-    sys = LinearSystem(A=A, B=rng.standard_normal((K, m)),
-                       C=rng.standard_normal((p, K)), sigma_d=np.eye(K),
-                       sigma_n=np.eye(p))
+    sys = _random_plant(rng, K, p, m)
     kf = rng.standard_normal((K, p))
     kc = rng.standard_normal((m, K))
     dx = sample_decoder(K, n, rng.uniform(0.01, 1.0), rng=rng)
@@ -181,3 +187,87 @@ def test_controller_run_matches_dense_stepper_spike_for_spike():
     assert spikes == dense_spikes
     np.testing.assert_array_equal(state.r, r)
     np.testing.assert_allclose(state.v, v, rtol=0, atol=1e-12)
+
+
+def _random_network(rng, K, n):
+    """A controller or an estimator of n neurons on a random plant of state
+    size K, with a random leak."""
+    p, m = rng.integers(1, K + 1), rng.integers(1, 3)
+    sys = _random_plant(rng, K, p, m)
+    kf, leak = rng.standard_normal((K, p)), float(rng.uniform(0.0, 20.0))
+    dx = sample_decoder(K, n, rng.uniform(0.01, 1.0), rng=rng)
+    if rng.random() < 0.5:
+        return build_estimator(sys, kf, dx, leak)
+    dz = sample_decoder(K, n, rng.uniform(0.01, 1.0), rng=rng)
+    return build_controller(sys, kf, rng.standard_normal((m, K)), dx, dz, leak)
+
+
+_OPS = ("step",) * 20 + ("dt", "same dt", "swap", "leak", "silence", "poke",
+                        "poke silenced")
+
+
+def _outcome(step, weights, state, dt, inputs, noise):
+    """The step's spike, or the type and message of what it raised (a
+    RuntimeWarning from numpy raised as an error)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return step(weights, state, dt, inputs, noise)[1]
+        except Exception as err:
+            return type(err), str(err)
+
+
+def _assert_same_state(a, b):
+    for x, y in ((a.v, b.v), (a.r, b.r), (a.silenced, b.silenced)):
+        assert np.array_equal(x, y, equal_nan=True)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+    assert a.spike_log == b.spike_log and a.silence_log == b.silence_log
+    assert (a.step, a.t, type(a.t)) == (b.step, b.t, type(b.t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(_OPS), min_size=1, max_size=120))
+def test_network_step_matches_its_parent_form_bitwise(K, n, seed, ops):
+    # The step holds dt, the leak and 1 - leak dt as 0-d arrays made once per
+    # (dt, leak); the parent form (reference_models) reads them as Python
+    # floats on every call. On one state each, through dt changes (to a new
+    # value, or to an equal float object), weights swapped for another
+    # network of the population, a leak set on the weights, silencing, and a
+    # NaN or infinite voltage at an unsilenced or a silenced neuron, both give
+    # the same v, r, spike, logs, step and time, and a diverging step raises
+    # the same error at the same step.
+    rng = np.random.default_rng(seed)
+    nets = [_random_network(rng, K, n), _random_network(rng, K, n)]
+    weights, dt = nets[0], float(rng.uniform(1e-4, 0.05))
+    a, b = new_state(weights), new_state(weights)
+    for op in ops:
+        if op == "dt":
+            dt = float(rng.uniform(1e-4, 0.05))
+        elif op == "same dt":
+            dt = float(repr(dt))  # an equal value in a new float object
+        elif op == "swap":
+            weights = nets[1] if weights is nets[0] else nets[0]
+        elif op == "leak":
+            weights.leak = float(rng.uniform(0.0, 20.0))
+        elif op == "silence":
+            ids = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            for state in (a, b):
+                silence(state, ids)
+        elif op.startswith("poke"):
+            j = int(rng.integers(n))
+            if op == "poke silenced":
+                for state in (a, b):
+                    silence(state, j)
+            a.v[j] = b.v[j] = rng.choice([np.nan, np.inf, -np.inf])
+        else:
+            scale = 100.0 * weights.thresholds.max() ** 0.5
+            inputs = scale * rng.standard_normal(weights.input_op.shape[1])
+            noise = (0.1 * weights.thresholds * rng.standard_normal(n)
+                     if rng.random() < 0.8 else None)
+            got = _outcome(network_step, weights, a, dt, inputs, noise)
+            want = _outcome(reference_models.network_step, weights, b, dt, inputs, noise)
+            assert got == want
+            _assert_same_state(a, b)
+            if isinstance(got, tuple):
+                return

@@ -1,5 +1,7 @@
 """Spring-mass-damper and cartpole ground truth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,36 @@ def test_cartpole_dynamics_bitwise_matches_numpy_scalar_formula(p):
             assert np.array_equal(np.signbit(got), np.signbit(want)), (i, x, u)
     got = cartpole_dynamics(p, [0, 0, 3, 1], 2)  # a list of ints, an int force
     assert np.array_equal(got, _cartpole_dynamics_numpy(p, np.array([0, 0, 3, 1]), 2))
+
+
+def test_cartpole_force_must_be_one_value():
+    # A force of any other size is refused, not cut to its first entry.
+    p = CartpoleParams()
+    for force in ([1.0, 5.0], np.array([[1.0], [5.0]]), [], np.zeros(0)):
+        with pytest.raises(ValueError,
+                           match=f"force must be a single value, got {np.size(force)}"):
+            cartpole_dynamics(p, CARTPOLE_UP, force)
+    for force in (np.array([[2.0]]), np.float64(2.0), 2):  # one value in any shape
+        assert np.array_equal(cartpole_dynamics(p, CARTPOLE_UP, force),
+                              cartpole_dynamics(p, CARTPOLE_UP, 2.0))
+
+
+def test_cartpole_params_are_frozen_and_replace_gets_its_own_products():
+    p = CartpoleParams()
+    x = np.array([0.3, -0.2, np.pi + 0.1, 0.4])
+    before = cartpole_dynamics(p, x, 1.5)  # computes p's products
+    for key in ("m", "M", "L", "g", "d"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, key, 2.0)
+    assert np.array_equal(cartpole_dynamics(p, x, 1.5), before)
+    other = dataclasses.replace(p, m=0.3, M=2.5, L=0.7, g=-9.81, d=0.2)
+    fresh = CartpoleParams(m=0.3, M=2.5, L=0.7, g=-9.81, d=0.2)
+    assert other == fresh and repr(other) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(other)] == ["m", "M", "L", "g", "d"]
+    assert np.array_equal(cartpole_dynamics(other, x, 1.5),
+                          _cartpole_dynamics_numpy(fresh, x, 1.5))
+    assert not np.array_equal(cartpole_dynamics(other, x, 1.5), before)
+    assert np.array_equal(cartpole_dynamics(p, x, 1.5), before)
 
 
 def test_cartpole_params_validation():

@@ -27,6 +27,9 @@ side by side, with BLAS pinned to one thread):
   during it, the pole kept up, through the runner (so the nonlinear plant is
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
   with the same pulse set by `pulse.*` keys through the CLI;
+- a 0.6 s cartpole through the CLI whose five `plant.*` keys all differ from
+  the default plant (the pole stays up), so a product of the parameters
+  that is stale or grouped differently shows in every rate;
 - the same workloads through the CLI, as the benchmark runs them, a 10 s
   `estimate`, an `estimate --dt 1e-6 --duration 0.001` (100 trajectory rows
   whose times, `9.999999999999999e-06` and on, are below 1e-4, where a
@@ -155,6 +158,7 @@ REFUSALS = [
     ("sparsity", "sparsity.lambdas = nan"),
     ("sparsity", "sparsity.lambdas = 0, -1"),
     ("sparsity", "sparsity.lambdas = 1e5"),
+    ("sparsity", "sparsity.lambdas = 1, 1.0000001"),
     ("control", "plant.m = nan"),
     ("control", "plant.k = inf"),
     ("cartpole", "plant.L = nan"),
@@ -332,6 +336,11 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             "integration.duration = 0.6\nreference.times = 0.04, 0.19\n"
             "reference.positions = 0.5, 1.0\npulse.onset = 0.28\n"
             "pulse.duration = 0.05\npulse.magnitude = 50.0\n")))
+        cases.append((f"cli-cartpole-plant-s{seed}", cli_run(
+            "cartpole-plant", seed, ["cartpole"],
+            "integration.duration = 0.6\nreference.times = 0.04, 0.19\n"
+            "reference.positions = 0.5, 1.0\nplant.m = 0.3\nplant.M = 2.5\n"
+            "plant.L = 0.7\nplant.g = -9.81\nplant.d = 0.2\n")))
         cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
             replace(ex.estimation_scenario(s), duration=10.0))))
         cases.append((f"cli-estimate-s{seed}",
