@@ -20,6 +20,7 @@ cartpole's pole angle column is theta - pi.
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -330,12 +331,24 @@ def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
 def _voltage_rows(src: NoiseSource, n: int, scale):
     """Yield n per-step voltage-noise rows of `src`, each multiplied by
     `scale`, drawn in blocks of about 1 MiB (at least one row) to bound
-    memory whatever the population size."""
+    memory whatever the population size. Block 1 is drawn inline; once the
+    caller asks for row 2 of block k, and so holds no row of block k - 1,
+    block k + 1 is drawn on a worker thread (`NoiseSource.prefetch`), so at
+    most two blocks are alive. Each block is still taken by `sample_block` on
+    the caller's thread, in stream order. However the generator ends, it
+    waits for a pending draw. Blocks of one row (N > 131 072) are all drawn
+    inline: the caller would wait for the worker at once."""
     block = max(1, (1 << 20) // (8 * src.dim))
-    for start in range(0, n, block):
-        rows = src.sample_block(min(block, n - start))
-        rows *= scale  # in place: a scaled copy beside the block raises peak memory
-        yield from rows
+    try:
+        for start in range(0, n, block):
+            rows = src.sample_block(min(block, n - start))
+            rows *= scale  # in place: a scaled copy beside the block raises peak memory
+            yield rows[0]
+            if block > 1 and start + block < n:
+                src.prefetch(min(block, n - start - block))
+            yield from rows[1:]
+    finally:
+        src.wait()
 
 
 def _artifact_choices(sc: Scenario) -> dict:
@@ -397,37 +410,39 @@ def _closed_loop(sc: Scenario):
         ZH, U, OU = np.empty((n, K)), np.empty((n, P)), np.empty((n, P))
         ctrl = dict(z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n])
     x, xo = XS[0], OS[0]
-    for i in range(n):
-        for ids in kills.get(i, ()):
-            silence(st, ids)
-        ei = e[i]
-        # C x = C (x - CARTPOLE_UP): the cartpole observes only the cart position, 0 upright.
-        np.add(C.dot(x), ei, out=Y[i])
-        network_step(weights, st, dt, IN[i], next(eta))
-        xh = dxv.dot(r, out=XH[i])
-        xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
-        if kc is None:
-            OXH[i] = estimator_step(system, kf, est, Y[i], u0, dt_arr).x_hat
-            x = np.add(x + dt_arr * A.dot(x), wi, out=xn)
-            continue
-        zh = dzv.dot(r, out=ZH[i])
-        u = np.negative(kc.dot(xh - zh), out=U[i])
-        lqg_step(system, kf, kc, est, C.dot(xo) + ei, z[i], dt_arr)
-        OXH[i] = est.x_hat
-        OU[i] = uo = est.u
-        if pulse is not None:
-            u, uo = u + pulse[i], uo + pulse[i]
-        if cart is None:
-            np.add(x + dt_arr * (A.dot(x) + B.dot(u)), wi, out=xn)
-            np.add(xo + dt_arr * (A.dot(xo) + B.dot(uo)), wi, out=xon)
-        else:
-            np.add(x + dt_arr * cartpole_dynamics(cart, x, u.item(0)), wi, out=xn)
-            np.add(xo + dt_arr * cartpole_dynamics(cart, xo, uo.item(0)), wi, out=xon)
-            for state, loop in ((xn, ""), (xon, ", ideal loop")):
-                if abs(state.item(2) - math.pi) > math.pi / 2:
-                    raise PoleDroppedError(
-                        f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
-        x, xo = xn, xon
+    with closing(eta):  # however the loop ends, the voltage rows wait for a pending draw
+        for i in range(n):
+            for ids in kills.get(i, ()):
+                silence(st, ids)
+            ei = e[i]
+            # C x = C (x - CARTPOLE_UP): the cartpole observes only the cart position,
+            # 0 upright.
+            np.add(C.dot(x), ei, out=Y[i])
+            network_step(weights, st, dt, IN[i], next(eta))
+            xh = dxv.dot(r, out=XH[i])
+            xn, xon, wi = XS[i + 1], OS[i + 1], w[i]
+            if kc is None:
+                OXH[i] = estimator_step(system, kf, est, Y[i], u0, dt_arr).x_hat
+                x = np.add(x + dt_arr * A.dot(x), wi, out=xn)
+                continue
+            zh = dzv.dot(r, out=ZH[i])
+            u = np.negative(kc.dot(xh - zh), out=U[i])
+            lqg_step(system, kf, kc, est, C.dot(xo) + ei, z[i], dt_arr)
+            OXH[i] = est.x_hat
+            OU[i] = uo = est.u
+            if pulse is not None:
+                u, uo = u + pulse[i], uo + pulse[i]
+            if cart is None:
+                np.add(x + dt_arr * (A.dot(x) + B.dot(u)), wi, out=xn)
+                np.add(xo + dt_arr * (A.dot(xo) + B.dot(uo)), wi, out=xon)
+            else:
+                np.add(x + dt_arr * cartpole_dynamics(cart, x, u.item(0)), wi, out=xn)
+                np.add(xo + dt_arr * cartpole_dynamics(cart, xo, uo.item(0)), wi, out=xon)
+                for state, loop in ((xn, ""), (xon, ", ideal loop")):
+                    if abs(state.item(2) - math.pi) > math.pi / 2:
+                        raise PoleDroppedError(
+                            f"pole dropped at t={(i + 1) * dt:.4f} s (step {i}{loop})")
+            x, xo = xn, xon
     if not (np.isfinite(XS[n]).all() and np.isfinite(OS[n]).all()):
         raise NetworkDivergedError(
             f"closed loop diverged: plant state not finite after {n} steps")
@@ -507,30 +522,31 @@ def _lockstep(sc: Scenario, cells):
     for (_, _, st, _, _), r in zip(live, R):
         st.r = r
     R3 = R[:, :, None]
-    for i in range(n):
-        for ids in kills.get(i, ()):
-            for _, _, st, _, _ in live:
-                silence(st, ids)
-        np.add(np.matmul(C, X), scale * e3[i], out=Y3)
-        zi, etai = z[i], next(eta)
-        IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]
-        for cell in tuple(live):
-            j, weights, st, kf, est = cell
-            inp, yo, uo = rows[j]
-            try:
-                network_step(weights, st, dt, inp, etai)
-            except NetworkDivergedError as err:
-                out[j] = err
-                live.remove(cell)
-                continue
-            lqg_step(system, kf, kc, est, yo, zi, dt_arr)
-            uo[...] = est.u
-        if not live:
-            return out
-        U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
-        up = U + (pulse if on <= i < off else 0.0)
-        X = X + dt_arr * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
-        positions[i] = X[:, 0, 0]
+    with closing(eta):  # however the loop ends, the voltage rows wait for a pending draw
+        for i in range(n):
+            for ids in kills.get(i, ()):
+                for _, _, st, _, _ in live:
+                    silence(st, ids)
+            np.add(np.matmul(C, X), scale * e3[i], out=Y3)
+            zi, etai = z[i], next(eta)
+            IN[:, :p], IN[:, p:p + K], IN[:, p + K:] = Y[0::2], zi, zdot[i]
+            for cell in tuple(live):
+                j, weights, st, kf, est = cell
+                inp, yo, uo = rows[j]
+                try:
+                    network_step(weights, st, dt, inp, etai)
+                except NetworkDivergedError as err:
+                    out[j] = err
+                    live.remove(cell)
+                    continue
+                lqg_step(system, kf, kc, est, yo, zi, dt_arr)
+                uo[...] = est.u
+            if not live:
+                return out
+            U[0::2] = -np.matmul(kc, np.matmul(dxv, R3) - np.matmul(dzv, R3))
+            up = U + (pulse if on <= i < off else 0.0)
+            X = X + dt_arr * (np.matmul(A, X) + np.matmul(B, up)) + w3[i]
+            positions[i] = X[:, 0, 0]
     for j, _, st, _, _ in live:
         final = X[2 * j:2 * j + 2, :, 0]
         if np.isfinite(final).all():

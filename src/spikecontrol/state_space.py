@@ -1,6 +1,8 @@
 """Linear state-space models and seeded noise streams."""
 
 import math
+import numbers
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
@@ -54,7 +56,9 @@ class NoiseSource:
 
     Draws are deterministic given (seed, label): two sources constructed with
     the same pair replay the same sequence, and successive blocks continue one
-    stream, so drawing in blocks yields the same values as one large draw.
+    stream, so drawing in blocks yields the same values as one large draw. A
+    block may be drawn ahead on a worker thread (`prefetch`); it is still the
+    next block of the stream.
     """
 
     def __init__(self, variance: float, dim: int, seed: int, label: StreamLabel):
@@ -64,12 +68,57 @@ class NoiseSource:
         self.dim = int(dim)
         self._scale = np.sqrt(variance)
         self._rng = make_rng(seed, label)
+        self._pending = None  # (n, worker thread, [its samples or its error])
 
-    def sample_block(self, n: int) -> np.ndarray:
-        """Draw `n` consecutive samples as an (n, dim) array."""
+    def _draw(self, n: int) -> np.ndarray:
         out = self._rng.standard_normal((n, self.dim))
         out *= self._scale  # in place: no second block-sized array
         return out
+
+    def sample_block(self, n: int) -> np.ndarray:
+        """Draw `n` consecutive samples as an (n, dim) array. After `prefetch(n)`
+        this waits for the worker's samples and returns them, or raises the
+        error the worker's draw raised; a size other than the prefetched one
+        raises ValueError and leaves the prefetch pending."""
+        if self._pending is None:
+            return self._draw(n)
+        want, worker, result = self._pending
+        if n != want:
+            raise ValueError(f"sample_block({n}) does not match the pending "
+                             f"prefetch({want})")
+        worker.join()
+        self._pending = None
+        (out,) = result
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def prefetch(self, n: int) -> None:
+        """Start drawing the next `n` samples on a worker thread, for the next
+        `sample_block(n)`. numpy's normal fill releases the GIL, so the draw
+        overlaps with the caller's work on another core. One prefetch may be
+        pending at a time."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"prefetch needs a positive whole number of samples, "
+                             f"got {n!r}")
+        if self._pending is not None:
+            raise RuntimeError(f"a prefetch of {self._pending[0]} samples is pending")
+        result = []
+
+        def draw():
+            try:
+                result.append(self._draw(n))
+            except Exception as err:  # raised again in the caller, by sample_block
+                result.append(err)
+
+        worker = threading.Thread(target=draw, name="NoiseSource.prefetch")
+        worker.start()
+        self._pending = (n, worker, result)
+
+    def wait(self) -> None:
+        """Wait for a pending prefetch to finish; its samples stay pending."""
+        if self._pending is not None:
+            self._pending[1].join()
 
 
 @dataclass

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -727,32 +729,167 @@ def test_trajectory_stride_must_be_a_positive_integer(tmp_path, est_short, strid
     assert not path.exists()
 
 
+def _before_worker_draws(monkeypatch, before):
+    """Patch `NoiseSource._draw` to call `before(source, n)` first whenever
+    it runs on a thread other than this one."""
+    draw, main = experiments.NoiseSource._draw, threading.get_ident()
+
+    def patched(self, n):
+        if threading.get_ident() != main:
+            before(self, n)
+        return draw(self, n)
+
+    monkeypatch.setattr(experiments.NoiseSource, "_draw", patched)
+
+
 def test_voltage_rows_are_scaled_noise_source_blocks(monkeypatch):
     # `_voltage_rows` draws blocks of at most 1 MiB: 2621 rows at N=50, so
     # 16 484 steps cross six block boundaries, and 65 rows at N=2000, so 200
     # steps cross three. Every row equals one draw of all n rows.
-    drawn = []
+    # Every block is taken by `sample_block` on the caller's thread; blocks
+    # 2, 3, ... were drawn ahead on a worker thread.
+    drawn, callers, ahead = [], set(), []
     sample_block = experiments.NoiseSource.sample_block
 
     def recording(self, k):
         drawn.append((self.dim, k))
+        callers.add(threading.get_ident())
         return sample_block(self, k)
 
     monkeypatch.setattr(experiments.NoiseSource, "sample_block", recording)
+    _before_worker_draws(monkeypatch, lambda src, k: ahead.append((src.dim, k)))
     for n_neurons, n, per_block in ((50, 16_484, 2621), (2000, 200, 65)):
         sc = replace(smd_control_scenario(3), n_neurons=n_neurons, duration=n * 1e-3)
         assert sc.n_steps == n
         drawn.clear()
+        ahead.clear()
         _, _, rows = experiments._noise_rows(sc, build_network(sc)[0])
         got = np.array(list(rows))
         blocks = [k for dim, k in drawn if dim == n_neurons]
         assert blocks == [per_block] * (n // per_block) + [n % per_block], n_neurons
+        assert callers == {threading.get_ident()} and ahead == [(n_neurons, k) for k in blocks[1:]]
         assert per_block * n_neurons * 8 <= 1 << 20 < (per_block + 1) * n_neurons * 8
         src = experiments.NoiseSource(sc.eta_v ** 2, sc.n_neurons, sc.master_seed,
                                       experiments.StreamLabel.VOLTAGE)
         want = np.sqrt(sc.dt) * src.sample_block(n)
         assert np.array_equal(got, want), n_neurons
         assert np.array_equal(np.signbit(got), np.signbit(want)), n_neurons
+
+
+def test_one_row_voltage_blocks_are_drawn_inline(monkeypatch):
+    # Above N = 131 072 a block is one row: the caller would wait for a
+    # worker at once, so no block is drawn ahead, and the rows are the same.
+    dim = (1 << 17) + 1
+    src = experiments.NoiseSource(1.0, dim, 0, experiments.StreamLabel.VOLTAGE)
+    want = 0.5 * src.sample_block(3)
+    ahead = []
+    _before_worker_draws(monkeypatch, lambda src, n: ahead.append(n))
+    src = experiments.NoiseSource(1.0, dim, 0, experiments.StreamLabel.VOLTAGE)
+    got = np.array(list(experiments._voltage_rows(src, 3, 0.5)))
+    assert ahead == [] and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_voltage_rows_hold_at_most_two_blocks():
+    # A caller that keeps the previous row while it takes the next, as
+    # `_lockstep` does, holds the block being yielded and the one being
+    # drawn, never a third: block k + 1 is drawn only once the caller has
+    # moved past block k - 1. Waiting for each pending draw before dropping
+    # the previous row makes a third block show in the peak.
+    src = experiments.NoiseSource(1.0, 2000, 0, experiments.StreamLabel.VOLTAGE)
+    block_bytes = 65 * 2000 * 8
+    tracemalloc.start()
+    try:
+        prev = None
+        for row in experiments._voltage_rows(src, 300, 0.5):
+            src.wait()
+            prev = row
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prev is not None and 2 * block_bytes <= peak < 2.5 * block_bytes, peak
+
+
+@pytest.fixture
+def slow_prefetch(monkeypatch):
+    """Make every draw on a worker thread take 0.1 s longer, so that a run
+    which did not wait for its pending draw would return with the worker
+    still alive. Returns the thread count before the test."""
+    _before_worker_draws(monkeypatch, lambda src, n: time.sleep(0.1))
+    return threading.active_count()
+
+
+def _diverging_after(monkeypatch, step):
+    """Patch the engines' network step to raise NetworkDivergedError at `step`."""
+    network_step = experiments.network_step
+
+    def diverging(weights, state, *args):
+        if state.step == step:
+            raise NetworkDivergedError(f"network diverged at step {step}")
+        return network_step(weights, state, *args)
+
+    monkeypatch.setattr(experiments, "network_step", diverging)
+
+
+def test_voltage_draws_end_with_their_run(monkeypatch, slow_prefetch):
+    # However a run ends, no draw outlives it: a run of several blocks, a run
+    # whose network diverges in block 3 (65 rows a block at N=2000), a
+    # one-neuron cartpole dropping its pole in block 1 of two (131 072 rows a
+    # block at N=1), and a generator closed after its first or second row.
+    # A caller may keep the error, whose traceback keeps the run's frame.
+    sc = replace(smd_control_scenario(3), n_neurons=2000, duration=0.2)
+    run_control(sc)
+    assert threading.active_count() == slow_prefetch
+    with monkeypatch.context() as patch:
+        _diverging_after(patch, 2 * 65 + 3)
+        with pytest.raises(NetworkDivergedError, match="at step 133") as diverged:
+            run_control(sc)
+    assert threading.active_count() == slow_prefetch
+    cart = replace(cartpole_scenario(1), n_neurons=1, dt=1e-3, duration=135.0)
+    with pytest.raises(experiments.PoleDroppedError, match=r"\(step 3175\)") as dropped:
+        run_cartpole(cart)
+    assert threading.active_count() == slow_prefetch
+    assert diverged.tb is not None and dropped.tb is not None
+    for rows_taken in (1, 2):
+        src = experiments.NoiseSource(1.0, 2000, 0, experiments.StreamLabel.VOLTAGE)
+        rows = experiments._voltage_rows(src, 200, 0.5)
+        for _ in range(rows_taken):
+            next(rows)
+        rows.close()
+        assert threading.active_count() == slow_prefetch
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_lockstep_batch_that_all_diverges_waits_for_its_draw(slow_prefetch):
+    # Both cells' networks diverge at step 535 under the pulse, in block 9
+    # of 10 (65 rows a block), so the batch returns early with block 10
+    # being drawn.
+    base = robustness_scenario(2)
+    sc = replace(base, dt=1e-3, duration=0.6, n_neurons=2000,
+                 pulse=replace(base.pulse, onset=0.2, duration=0.3))
+    out = experiments._lockstep(sc, [(1e-7, 1e308), (1e-7, -1e308)])
+    assert [str(err) for err in out] == ["network diverged at step 535 (t=0.535)"] * 2
+    assert threading.active_count() == slow_prefetch
+
+
+def test_voltage_draw_error_surfaces_from_the_run(tmp_path, capsys, monkeypatch):
+    # A MemoryError in the worker's draw of block 2 is raised by the run on
+    # the caller's thread, and the CLI reports it as a run's failure.
+    def failing(src, n):
+        raise MemoryError("injected: no room for voltage block 2")
+
+    _before_worker_draws(monkeypatch, failing)
+    start = threading.active_count()
+    sc = replace(smd_control_scenario(3), n_neurons=2000, duration=0.2)
+    with pytest.raises(MemoryError, match="injected"):
+        run_control(sc)
+    code = cli_main(["control", "--neurons", "2000", "--duration", "0.2",
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: injected: no room for voltage block 2\n"
+    assert not (tmp_path / "o").exists()
+    assert threading.active_count() == start
 
 
 def test_spike_csv_roundtrip(tmp_path, est_short):

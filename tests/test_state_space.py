@@ -1,6 +1,8 @@
 """Noise streams, the plant step and observation of the closed-loop kernel,
 and the finite-difference Jacobians the plant tests use as a reference."""
 
+import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +91,80 @@ def test_noise_source_rejects_bad_covariance():
     for variance in (-0.1, -1e-300, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="noise variance must be finite"):
             NoiseSource(variance, 2, seed=0, label=StreamLabel.DISTURBANCE)
+
+
+def _off_main_thread_draws(monkeypatch, fail=None):
+    """Patch `NoiseSource._draw` to list the sizes it draws on a worker
+    thread; with `fail`, a worker's draw raises that error instead."""
+    draw, main, sizes = NoiseSource._draw, threading.get_ident(), []
+
+    def recording(self, n):
+        if threading.get_ident() != main:
+            sizes.append(n)
+            if fail is not None:
+                raise fail
+        return draw(self, n)
+
+    monkeypatch.setattr(NoiseSource, "_draw", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("variance", [0.0, 1.5])
+def test_prefetch_draws_the_next_block_on_a_worker(monkeypatch, variance):
+    # A prefetched block is the block a source that never prefetches draws
+    # after the same earlier blocks, bit for bit. At zero variance every
+    # sample is a zero of its draw's sign, so the signs of zero are compared.
+    on_worker = _off_main_thread_draws(monkeypatch)
+    start = threading.active_count()
+    plain = NoiseSource(variance, 3, seed=4, label=StreamLabel.VOLTAGE)
+    ahead = NoiseSource(variance, 3, seed=4, label=StreamLabel.VOLTAGE)
+    for n, prefetched in ((5, False), (1, True), (12, True), (4, False), (7, True)):
+        want = plain.sample_block(n)
+        if prefetched:
+            ahead.prefetch(n)
+        got = ahead.sample_block(n)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert on_worker == [1, 12, 7]
+    assert threading.active_count() == start
+    if variance == 0.0:
+        zeros = np.vstack([ahead.sample_block(50), plain.sample_block(50)])
+        assert not zeros.any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_prefetch_refusals_leave_the_stream_in_place():
+    # A size that does not match the pending prefetch, and a second prefetch
+    # while one is pending, are refused and keep the pending block; a size
+    # that is not a positive whole number starts nothing.
+    plain = NoiseSource(2.0, 2, seed=8, label=StreamLabel.SENSOR)
+    ahead = NoiseSource(2.0, 2, seed=8, label=StreamLabel.SENSOR)
+    start = threading.active_count()
+    for n in (0, -3, 2.5, np.float64(3.0), True, "4", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"prefetch needs a positive whole number of samples, got {n!r}")):
+            ahead.prefetch(n)
+        assert threading.active_count() == start
+    ahead.prefetch(np.int64(6))
+    with pytest.raises(ValueError, match=re.escape(
+            "sample_block(5) does not match the pending prefetch(6)")):
+        ahead.sample_block(5)
+    with pytest.raises(RuntimeError, match=re.escape("a prefetch of 6 samples is pending")):
+        ahead.prefetch(6)
+    ahead.wait()
+    assert threading.active_count() == start
+    np.testing.assert_array_equal(ahead.sample_block(6), plain.sample_block(6))
+    np.testing.assert_array_equal(ahead.sample_block(5), plain.sample_block(5))
+
+
+def test_prefetch_error_is_raised_at_the_hand_over(monkeypatch):
+    # The worker keeps its error; the next sample_block raises it on the
+    # caller's thread, and no exception escapes the worker.
+    _off_main_thread_draws(monkeypatch, fail=MemoryError("no room for the block"))
+    src = NoiseSource(1.0, 4, seed=2, label=StreamLabel.VOLTAGE)
+    src.prefetch(3)
+    with pytest.raises(MemoryError, match="no room for the block"):
+        src.sample_block(3)
+    assert src.sample_block(2).shape == (2, 4)  # nothing is pending any more
 
 
 def test_validate_flags_noise_definiteness():

@@ -27,6 +27,10 @@ side by side, with BLAS pinned to one thread):
   during it, the pole kept up, through the runner (so the nonlinear plant is
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
   with the same pulse set by `pulse.*` keys through the CLI;
+- a 0.5 s control run at N = 2000 through the runner, the stair moved into
+  the run: its voltage rows come in 8 blocks of 65, so 7 blocks are drawn
+  ahead on a worker thread and handed over, and a quarter of the neurons is
+  silenced at the second hand-over;
 - a 0.6 s cartpole through the CLI whose five `plant.*` keys all differ from
   the default plant (the pole stays up), so a product of the parameters
   that is stale or grouped differently shows in every rate;
@@ -341,6 +345,11 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             "integration.duration = 0.6\nreference.times = 0.04, 0.19\n"
             "reference.positions = 0.5, 1.0\nplant.m = 0.3\nplant.M = 2.5\n"
             "plant.L = 0.7\nplant.g = -9.81\nplant.d = 0.2\n")))
+        cases.append((f"control-n2000-s{seed}", lambda s=seed: ex.run_control(
+            replace(ex.smd_control_scenario(s), n_neurons=2000, duration=0.5,
+                    reference=ex.stair_reference([2.0, 4.0, 6.0, 8.0],
+                                                 [0.1, 0.2, 0.3, 0.4], 2),
+                    silencing=[(0.13, tuple(range(0, 2000, 4)))]))))
         cases.append((f"estimation-10s-s{seed}", lambda s=seed: ex.run_estimation(
             replace(ex.estimation_scenario(s), duration=10.0))))
         cases.append((f"cli-estimate-s{seed}",
