@@ -86,27 +86,29 @@ def _build_scenario(command: str, args, cfg: dict):
 
 def _write(out: Path, result):
     """Make `out` and write into it what a finished run returned: a network,
-    a trajectory, a sweep's matrices, or one trajectory directory per leak."""
-    out.mkdir(parents=True, exist_ok=True)
+    a trajectory, a sweep's matrices, or one trajectory directory per leak.
+    Every summary is made first, so one that is refused leaves no directory."""
     if isinstance(result, ScnWeights):
+        out.mkdir(parents=True, exist_ok=True)
         save_weights(result, out / "weights.json")
         return
-    summary = ex.summarize(result)
-    if isinstance(result, ex.SweepResult):
-        for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
-            ex.write_sweep_matrix(getattr(result, name), result.noise_grid,
-                                  result.pulse_grid, out / f"{name}.csv")
-    elif isinstance(result, list):
-        for traj in result:
-            _write(out / _LEAK_DIR.format(traj.scenario.leak), traj)
-    else:
-        # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
-        stride = 10 if result.scenario.dt <= 1e-4 + 1e-12 else 1
-        summary["artifact_choices"]["trajectory_stride"] = stride
-        ex.write_trajectory(result, out / "trajectory.csv", stride=stride)
-        ex.write_spikes(result, out / "spikes.csv")
-        save_weights(result.weights, out / "weights.json")
-    ex.write_summary(summary, out / "summary.json")
+    leaks = result if isinstance(result, list) else []
+    dirs = [(out, result)] + [(out / _LEAK_DIR.format(t.scenario.leak), t) for t in leaks]
+    summaries = [ex.summarize(part) for _, part in dirs]
+    for (path, part), summary in zip(dirs, summaries):
+        path.mkdir(parents=True, exist_ok=True)
+        if isinstance(part, ex.SweepResult):
+            for name in ("scn_mae", "oracle_mae", "scn_rmse", "oracle_rmse"):
+                ex.write_sweep_matrix(getattr(part, name), part.noise_grid,
+                                      part.pulse_grid, path / f"{name}.csv")
+        elif isinstance(part, ex.Trajectory):
+            # Full-resolution CSVs at dt=1e-4 run to hundreds of MB; thin them.
+            stride = 10 if part.scenario.dt <= 1e-4 + 1e-12 else 1
+            summary["artifact_choices"]["trajectory_stride"] = stride
+            ex.write_trajectory(part, path / "trajectory.csv", stride=stride)
+            ex.write_spikes(part, path / "spikes.csv")
+            save_weights(part.weights, path / "weights.json")
+        ex.write_summary(summary, path / "summary.json")
 
 
 def _check_out(out: Path):

@@ -308,7 +308,7 @@ def build_network(sc: Scenario):
 
 def _noise_rows(sc: Scenario, system: LinearSystem):
     """Per-step (disturbance, sensor, voltage-noise) rows, already scaled;
-    the voltage rows come from a generator."""
+    the voltage rows come from the generator `NoiseSource.rows`."""
     dist = NoiseSource(sc.sigma_d, system.state_dim, sc.master_seed,
                        StreamLabel.DISTURBANCE)
     sens = NoiseSource(sc.sigma_n, system.obs_dim, sc.master_seed, StreamLabel.SENSOR)
@@ -316,7 +316,7 @@ def _noise_rows(sc: Scenario, system: LinearSystem):
     n, sdt = sc.n_steps, np.sqrt(sc.dt)
     w = dist.sample_block(n)
     w *= sdt
-    return w, sens.sample_block(n), _voltage_rows(volt, n, sdt)
+    return w, sens.sample_block(n), volt.rows(n, sdt)
 
 
 def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
@@ -326,29 +326,6 @@ def _silencing_steps(sc: Scenario, time: np.ndarray) -> dict:
     for t, ids in sc.silencing or ():
         kills.setdefault(int(_grid_steps(time, t)), []).append(ids)
     return kills
-
-
-def _voltage_rows(src: NoiseSource, n: int, scale):
-    """Yield n per-step voltage-noise rows of `src`, each multiplied by
-    `scale`, drawn in blocks of about 1 MiB (at least one row) to bound
-    memory whatever the population size. Block 1 is drawn inline; once the
-    caller asks for row 2 of block k, and so holds no row of block k - 1,
-    block k + 1 is drawn on a worker thread (`NoiseSource.prefetch`), so at
-    most two blocks are alive. Each block is still taken by `sample_block` on
-    the caller's thread, in stream order. However the generator ends, it
-    waits for a pending draw. Blocks of one row (N > 131 072) are all drawn
-    inline: the caller would wait for the worker at once."""
-    block = max(1, (1 << 20) // (8 * src.dim))
-    try:
-        for start in range(0, n, block):
-            rows = src.sample_block(min(block, n - start))
-            rows *= scale  # in place: a scaled copy beside the block raises peak memory
-            yield rows[0]
-            if block > 1 and start + block < n:
-                src.prefetch(min(block, n - start - block))
-            yield from rows[1:]
-    finally:
-        src.wait()
 
 
 def _artifact_choices(sc: Scenario) -> dict:
@@ -674,7 +651,8 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
 def summarize(result) -> dict:
     """summary.json of a runner's result, all JSON-serializable: a Trajectory's
     scalar metrics, a SweepResult's grids and failed cells, or the leak and spike
-    count of each run `run_sparsity` returns. Each call builds its own `artifact_choices`."""
+    count of each run `run_sparsity` returns. Each call builds its own `artifact_choices`.
+    Raises NetworkDivergedError when a trajectory's error metric is not finite."""
     # The leak is all that differs between the runs of a sparsity list.
     sc = (result[0] if isinstance(result, list) else result).scenario
     out = {"scenario": sc.name, "master_seed": sc.master_seed,
@@ -690,14 +668,22 @@ def summarize(result) -> dict:
     traj = result
     duration = float(sc.duration)  # a library scenario may hold an int
     out.update(n_neurons=sc.n_neurons, dt=sc.dt, duration=duration, leak=sc.leak,
-               spike_count=traj.spike_count, spikes_per_second=traj.spike_count / duration,
-               rmse_vs_oracle=_errors(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0])[1])
-    if traj.z is not None:
-        err = traj.x[:, 0] - traj.z[:, 0]
-        out["phase_errors"] = _phase_errors(traj)
-    else:  # estimation runs: the reference is the true plant state
-        err = traj.x_hat[:, 0] - traj.x[:, 0]
-    out["mae_vs_reference"], out["rmse_vs_reference"] = _errors(err)
+               spike_count=traj.spike_count, spikes_per_second=traj.spike_count / duration)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        out["rmse_vs_oracle"] = _errors(traj.x_hat[:, 0] - traj.oracle_x_hat[:, 0])[1]
+        if traj.z is not None:
+            err = traj.x[:, 0] - traj.z[:, 0]
+            out["phase_errors"] = _phase_errors(traj)
+        else:  # estimation runs: the reference is the true plant state
+            err = traj.x_hat[:, 0] - traj.x[:, 0]
+        out["mae_vs_reference"], out["rmse_vs_reference"] = _errors(err)
+    errors = {key: out[key] for key in ("rmse_vs_oracle", "mae_vs_reference",
+                                        "rmse_vs_reference")}
+    errors.update((f"phase_errors[{i}].mae", phase["mae"])
+                  for i, phase in enumerate(out.get("phase_errors", ())))
+    bad = [key for key, value in errors.items() if not math.isfinite(value)]
+    if bad:
+        raise NetworkDivergedError(f"position errors overflow: {', '.join(bad)} not finite")
     if sc.name == "cartpole":
         out["max_pole_deviation"] = float(np.abs(traj.x[:, 2]).max())
     return out

@@ -1,7 +1,6 @@
-"""Linear state-space models and seeded noise streams."""
+"""Linear state-space models and seeded noise streams, read ahead by `NoiseSource.rows`."""
 
 import math
-import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,9 +55,9 @@ class NoiseSource:
 
     Draws are deterministic given (seed, label): two sources constructed with
     the same pair replay the same sequence, and successive blocks continue one
-    stream, so drawing in blocks yields the same values as one large draw. A
-    block may be drawn ahead on a worker thread (`prefetch`); it is still the
-    next block of the stream.
+    stream, so drawing in blocks yields the same values as one large draw.
+    `rows` yields the stream row by row, drawing the next block ahead on a
+    worker thread; it is still the next block of the stream.
     """
 
     def __init__(self, variance: float, dim: int, seed: int, label: StreamLabel):
@@ -68,57 +67,61 @@ class NoiseSource:
         self.dim = int(dim)
         self._scale = np.sqrt(variance)
         self._rng = make_rng(seed, label)
-        self._pending = None  # (n, worker thread, [its samples or its error])
+        self._ahead = None  # (worker thread, [its samples or its error]) inside `rows`
 
     def _draw(self, n: int) -> np.ndarray:
         out = self._rng.standard_normal((n, self.dim))
         out *= self._scale  # in place: no second block-sized array
         return out
 
+    def _draw_into(self, n: int, result: list):
+        """A worker's draw: its samples, or the error to raise at the hand-over."""
+        try:
+            result.append(self._draw(n))
+        except Exception as err:
+            result.append(err)
+
     def sample_block(self, n: int) -> np.ndarray:
-        """Draw `n` consecutive samples as an (n, dim) array. After `prefetch(n)`
-        this waits for the worker's samples and returns them, or raises the
-        error the worker's draw raised; a size other than the prefetched one
-        raises ValueError and leaves the prefetch pending."""
-        if self._pending is None:
+        """Draw `n` consecutive samples as an (n, dim) array. Inside `rows`,
+        this takes the block drawn ahead, or raises the error its draw raised."""
+        if self._ahead is None:
             return self._draw(n)
-        want, worker, result = self._pending
-        if n != want:
-            raise ValueError(f"sample_block({n}) does not match the pending "
-                             f"prefetch({want})")
+        worker, result = self._ahead
         worker.join()
-        self._pending = None
+        self._ahead = None
         (out,) = result
         if isinstance(out, Exception):
             raise out
         return out
 
-    def prefetch(self, n: int) -> None:
-        """Start drawing the next `n` samples on a worker thread, for the next
-        `sample_block(n)`. numpy's normal fill releases the GIL, so the draw
-        overlaps with the caller's work on another core. One prefetch may be
-        pending at a time."""
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"prefetch needs a positive whole number of samples, "
-                             f"got {n!r}")
-        if self._pending is not None:
-            raise RuntimeError(f"a prefetch of {self._pending[0]} samples is pending")
-        result = []
-
-        def draw():
-            try:
-                result.append(self._draw(n))
-            except Exception as err:  # raised again in the caller, by sample_block
-                result.append(err)
-
-        worker = threading.Thread(target=draw, name="NoiseSource.prefetch")
-        worker.start()
-        self._pending = (n, worker, result)
-
-    def wait(self) -> None:
-        """Wait for a pending prefetch to finish; its samples stay pending."""
-        if self._pending is not None:
-            self._pending[1].join()
+    def rows(self, n: int, scale):
+        """Yield `n` consecutive samples one row at a time, each times `scale`, in
+        blocks of about 1 MiB (at least one row) to bound memory whatever the
+        dimension. Block 1 is drawn inline; once the caller takes row 2 of block
+        k, and so holds no row of block k - 1, block k + 1 is drawn on a worker
+        thread (numpy's normal fill releases the GIL), so at most two blocks are
+        alive. `sample_block` takes each block on the caller's thread, in stream
+        order. One-row blocks (dim > 131 072) are drawn inline: the caller would
+        wait at once. However the generator ends, it waits for a pending draw
+        and drops its samples. One generator per source at a time."""
+        block = max(1, (1 << 20) // (8 * self.dim))
+        try:
+            for start in range(0, n, block):
+                out = self.sample_block(min(block, n - start))
+                out *= scale  # in place: a scaled copy beside the block raises peak memory
+                yield out[0]
+                if block > 1 and start + block < n:
+                    result = []
+                    worker = threading.Thread(target=self._draw_into, name="NoiseSource.rows",
+                                              args=(min(block, n - start - block), result))
+                    worker.start()
+                    self._ahead = (worker, result)
+                    del worker  # held until the next block, it cost 1 MB of peak RSS
+                yield from out[1:]
+        finally:
+            if self._ahead is not None:
+                self._ahead[0].join()
+                self._ahead = None
 
 
 @dataclass

@@ -504,6 +504,9 @@ def test_every_event_lands_on_the_grid_by_one_rule(dt, events):
     n = 64
     time, steps = np.arange(n) * dt, np.arange(n)
     ref_1, ref_2, onset, end, kill = (k * dt + offset for k, offset in events)
+    # Ordered, so that assume() rejects only ties: Hypothesis fails a test whose
+    # assume() rejects most inputs (the filter_too_much health check).
+    (ref_1, ref_2), (onset, end) = sorted((ref_1, ref_2)), sorted((onset, end))
     assume(ref_1 < ref_2 and onset < end)
 
     def step(t):
@@ -743,7 +746,7 @@ def _before_worker_draws(monkeypatch, before):
 
 
 def test_voltage_rows_are_scaled_noise_source_blocks(monkeypatch):
-    # `_voltage_rows` draws blocks of at most 1 MiB: 2621 rows at N=50, so
+    # `NoiseSource.rows` draws blocks of at most 1 MiB: 2621 rows at N=50, so
     # 16 484 steps cross six block boundaries, and 65 rows at N=2000, so 200
     # steps cross three. Every row equals one draw of all n rows.
     # Every block is taken by `sample_block` on the caller's thread; blocks
@@ -785,7 +788,7 @@ def test_one_row_voltage_blocks_are_drawn_inline(monkeypatch):
     ahead = []
     _before_worker_draws(monkeypatch, lambda src, n: ahead.append(n))
     src = experiments.NoiseSource(1.0, dim, 0, experiments.StreamLabel.VOLTAGE)
-    got = np.array(list(experiments._voltage_rows(src, 3, 0.5)))
+    got = np.array(list(src.rows(3, 0.5)))
     assert ahead == [] and np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -801,8 +804,11 @@ def test_voltage_rows_hold_at_most_two_blocks():
     tracemalloc.start()
     try:
         prev = None
-        for row in experiments._voltage_rows(src, 300, 0.5):
-            src.wait()
+        for row in src.rows(300, 0.5):
+            for worker in threading.enumerate():
+                if worker.name == "NoiseSource.rows":
+                    worker.join(10)
+                    assert not worker.is_alive()
             prev = row
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -811,7 +817,7 @@ def test_voltage_rows_hold_at_most_two_blocks():
 
 
 @pytest.fixture
-def slow_prefetch(monkeypatch):
+def slow_worker_draws(monkeypatch):
     """Make every draw on a worker thread take 0.1 s longer, so that a run
     which did not wait for its pending draw would return with the worker
     still alive. Returns the thread count before the test."""
@@ -831,7 +837,7 @@ def _diverging_after(monkeypatch, step):
     monkeypatch.setattr(experiments, "network_step", diverging)
 
 
-def test_voltage_draws_end_with_their_run(monkeypatch, slow_prefetch):
+def test_voltage_draws_end_with_their_run(monkeypatch, slow_worker_draws):
     # However a run ends, no draw outlives it: a run of several blocks, a run
     # whose network diverges in block 3 (65 rows a block at N=2000), a
     # one-neuron cartpole dropping its pole in block 1 of two (131 072 rows a
@@ -839,29 +845,29 @@ def test_voltage_draws_end_with_their_run(monkeypatch, slow_prefetch):
     # A caller may keep the error, whose traceback keeps the run's frame.
     sc = replace(smd_control_scenario(3), n_neurons=2000, duration=0.2)
     run_control(sc)
-    assert threading.active_count() == slow_prefetch
+    assert threading.active_count() == slow_worker_draws
     with monkeypatch.context() as patch:
         _diverging_after(patch, 2 * 65 + 3)
         with pytest.raises(NetworkDivergedError, match="at step 133") as diverged:
             run_control(sc)
-    assert threading.active_count() == slow_prefetch
+    assert threading.active_count() == slow_worker_draws
     cart = replace(cartpole_scenario(1), n_neurons=1, dt=1e-3, duration=135.0)
     with pytest.raises(experiments.PoleDroppedError, match=r"\(step 3175\)") as dropped:
         run_cartpole(cart)
-    assert threading.active_count() == slow_prefetch
+    assert threading.active_count() == slow_worker_draws
     assert diverged.tb is not None and dropped.tb is not None
     for rows_taken in (1, 2):
         src = experiments.NoiseSource(1.0, 2000, 0, experiments.StreamLabel.VOLTAGE)
-        rows = experiments._voltage_rows(src, 200, 0.5)
+        rows = src.rows(200, 0.5)
         for _ in range(rows_taken):
             next(rows)
         rows.close()
-        assert threading.active_count() == slow_prefetch
+        assert threading.active_count() == slow_worker_draws
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_lockstep_batch_that_all_diverges_waits_for_its_draw(slow_prefetch):
+def test_lockstep_batch_that_all_diverges_waits_for_its_draw(slow_worker_draws):
     # Both cells' networks diverge at step 535 under the pulse, in block 9
     # of 10 (65 rows a block), so the batch returns early with block 10
     # being drawn.
@@ -870,7 +876,7 @@ def test_lockstep_batch_that_all_diverges_waits_for_its_draw(slow_prefetch):
                  pulse=replace(base.pulse, onset=0.2, duration=0.3))
     out = experiments._lockstep(sc, [(1e-7, 1e308), (1e-7, -1e308)])
     assert [str(err) for err in out] == ["network diverged at step 535 (t=0.535)"] * 2
-    assert threading.active_count() == slow_prefetch
+    assert threading.active_count() == slow_worker_draws
 
 
 def test_voltage_draw_error_surfaces_from_the_run(tmp_path, capsys, monkeypatch):
@@ -1515,6 +1521,37 @@ def test_cli_run_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     code = cli_main(["control", "--duration", "1e12", "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_overflowing_error_metric_exits_1(tmp_path, capsys):
+    # A pulse of 1e308 drives the positions to about 4e305: finite, so the
+    # final-state check passes, but the squared errors overflow. The run is
+    # refused before its directory is made, and no overflow warning leaks.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("pulse.magnitude = 1e308\nintegration.duration = 3\n")
+    code = cli_main(["control", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: position errors overflow: rmse_vs_oracle, "
+                                       "rmse_vs_reference not finite\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sparsity_leak_that_overflows_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # Every summary is made before any directory, each leak's included.
+    run = experiments.run_sparsity
+
+    def overflowing(sc, lambdas):
+        runs = run(sc, lambdas)
+        runs[1].x[:, 0] = 1e200  # its squared position errors overflow
+        return runs
+
+    monkeypatch.setattr(experiments, "run_sparsity", overflowing)
+    cfg = tmp_path / "sparsity.cfg"
+    cfg.write_text("sparsity.lambdas = 0.5, 2\nintegration.duration = 0.5\n")
+    code = cli_main(["sparsity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: position errors overflow: ")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,12 +1,12 @@
 """Noise streams, the plant step and observation of the closed-loop kernel,
 and the finite-difference Jacobians the plant tests use as a reference."""
 
-import re
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikecontrol import (NoiseSource, SmdParams, StreamLabel, make_rng,
                           robustness_scenario, run_control, smd_system)
@@ -109,62 +109,70 @@ def _off_main_thread_draws(monkeypatch, fail=None):
     return sizes
 
 
+def _hand_overs(monkeypatch):
+    """Patch `NoiseSource.sample_block` to list (calling thread, size) of each call."""
+    sample_block, calls = NoiseSource.sample_block, []
+
+    def recording(self, n):
+        calls.append((threading.get_ident(), n))
+        return sample_block(self, n)
+
+    monkeypatch.setattr(NoiseSource, "sample_block", recording)
+    return calls
+
+
 @pytest.mark.parametrize("variance", [0.0, 1.5])
 def test_prefetch_draws_the_next_block_on_a_worker(monkeypatch, variance):
-    # A prefetched block is the block a source that never prefetches draws
-    # after the same earlier blocks, bit for bit. At zero variance every
-    # sample is a zero of its draw's sign, so the signs of zero are compared.
-    on_worker = _off_main_thread_draws(monkeypatch)
-    start = threading.active_count()
-    plain = NoiseSource(variance, 3, seed=4, label=StreamLabel.VOLTAGE)
-    ahead = NoiseSource(variance, 3, seed=4, label=StreamLabel.VOLTAGE)
-    for n, prefetched in ((5, False), (1, True), (12, True), (4, False), (7, True)):
-        want = plain.sample_block(n)
-        if prefetched:
-            ahead.prefetch(n)
-        got = ahead.sample_block(n)
+    # `rows` yields one inline draw of all n samples times the scale, bit for
+    # bit, for blocks of 2621 rows (dim 50), 3 rows (dim 43 690) and one row
+    # (dim 131 073, all drawn inline), n not a multiple of the block. Every
+    # block is taken by `sample_block` on the caller's thread; blocks 2, 3, ...
+    # were drawn on a worker. At zero variance every sample is a zero of its
+    # draw's sign, so the signs of zero are compared.
+    on_worker, calls = _off_main_thread_draws(monkeypatch), _hand_overs(monkeypatch)
+    for dim, n, blocks in ((50, 6000, [2621, 2621, 758]), (43_690, 10, [3, 3, 3, 1]),
+                           ((1 << 17) + 1, 3, [1, 1, 1])):
+        want = NoiseSource(variance, dim, seed=4, label=StreamLabel.VOLTAGE).sample_block(n)
+        want *= 0.25
+        on_worker.clear()
+        calls.clear()
+        got = np.array(list(NoiseSource(variance, dim, seed=4,
+                                        label=StreamLabel.VOLTAGE).rows(n, 0.25)))
+        assert calls == [(threading.get_ident(), k) for k in blocks], dim
+        assert on_worker == (blocks[1:] if blocks[0] > 1 else []), dim
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    assert on_worker == [1, 12, 7]
-    assert threading.active_count() == start
     if variance == 0.0:
-        zeros = np.vstack([ahead.sample_block(50), plain.sample_block(50)])
-        assert not zeros.any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
-
-
-def test_prefetch_refusals_leave_the_stream_in_place():
-    # A size that does not match the pending prefetch, and a second prefetch
-    # while one is pending, are refused and keep the pending block; a size
-    # that is not a positive whole number starts nothing.
-    plain = NoiseSource(2.0, 2, seed=8, label=StreamLabel.SENSOR)
-    ahead = NoiseSource(2.0, 2, seed=8, label=StreamLabel.SENSOR)
-    start = threading.active_count()
-    for n in (0, -3, 2.5, np.float64(3.0), True, "4", None):
-        with pytest.raises(ValueError, match=re.escape(
-                f"prefetch needs a positive whole number of samples, got {n!r}")):
-            ahead.prefetch(n)
-        assert threading.active_count() == start
-    ahead.prefetch(np.int64(6))
-    with pytest.raises(ValueError, match=re.escape(
-            "sample_block(5) does not match the pending prefetch(6)")):
-        ahead.sample_block(5)
-    with pytest.raises(RuntimeError, match=re.escape("a prefetch of 6 samples is pending")):
-        ahead.prefetch(6)
-    ahead.wait()
-    assert threading.active_count() == start
-    np.testing.assert_array_equal(ahead.sample_block(6), plain.sample_block(6))
-    np.testing.assert_array_equal(ahead.sample_block(5), plain.sample_block(5))
+        assert not got.any() and np.signbit(got).any() and not np.signbit(got).all()
 
 
 def test_prefetch_error_is_raised_at_the_hand_over(monkeypatch):
-    # The worker keeps its error; the next sample_block raises it on the
-    # caller's thread, and no exception escapes the worker.
+    # The worker keeps its error; `rows` raises it on the caller's thread
+    # where block 2 is taken, after the rows of block 1 (3 rows at dim
+    # 43 690), and no exception escapes the worker.
     _off_main_thread_draws(monkeypatch, fail=MemoryError("no room for the block"))
-    src = NoiseSource(1.0, 4, seed=2, label=StreamLabel.VOLTAGE)
-    src.prefetch(3)
+    src = NoiseSource(1.0, 43_690, seed=2, label=StreamLabel.VOLTAGE)
+    rows = src.rows(5, 1.0)
+    assert len([next(rows) for _ in range(3)]) == 3
     with pytest.raises(MemoryError, match="no room for the block"):
-        src.sample_block(3)
-    assert src.sample_block(2).shape == (2, 4)  # nothing is pending any more
+        next(rows)
+    assert src.sample_block(2).shape == (2, 43_690)  # nothing is pending any more
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3000), n=st.integers(1, 300),
+       variance=st.just(0.0) | st.floats(0.0, 1e6), scale=st.floats(0.0, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_equal_one_scaled_draw(dim, n, variance, scale, seed):
+    # Row by row and bit for bit, signs of zero included, whatever the
+    # block size (43 rows at dim 3000 up to all n at small dims).
+    src = NoiseSource(variance, dim, seed, StreamLabel.VOLTAGE)
+    want = NoiseSource(variance, dim, seed, StreamLabel.VOLTAGE).sample_block(n) * scale
+    got = list(src.rows(n, scale))
+    assert len(got) == n
+    for row, want_row in zip(got, want):
+        assert np.array_equal(row, want_row)
+        assert np.array_equal(np.signbit(row), np.signbit(want_row))
 
 
 def test_validate_flags_noise_definiteness():
