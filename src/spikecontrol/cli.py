@@ -1,7 +1,7 @@
 """Command-line runner: seeded experiments with CSV/JSON outputs.
 
-Each subcommand builds its scenario from defaults, applies an optional config
-file, then applies command-line flag overrides (flags win over config).
+Each subcommand builds the `experiments.SCENARIOS` entry `_COMMANDS` names,
+applies an optional config file, then command-line flag overrides (flags win).
 Every input, --out included, is checked before the run, and --out is made
 only once the run has finished: a run that fails leaves nothing behind. Its
 files are trajectory.csv, spikes.csv, summary.json and weights.json (the sweep
@@ -18,21 +18,15 @@ from .config import ConfigError, _want_tuple, apply_config, load_config
 from .scn import NetworkDivergedError, ScnWeights, save_weights
 from .state_space import _reraise
 
-_RUN_HELP = {
-    "estimate": "spiking state estimation of the noisy spring-mass-damper",
-    "control": "spiking LQG control of the SMD stair scenario (with neuron kills)",
-    "sweep": "sensor-noise x pulse-strength robustness grid",
-    "cartpole": "stabilize the nonlinear cartpole about the upright pole",
-    "sparsity": "spike counts for several leak values at decoder norm 1",
-    "export-weights": "write the network weight file without running",
-}
-
-_BUILDERS = {
-    "estimate": lambda seed: ex.estimation_scenario(seed),
-    "control": lambda seed: ex.smd_control_scenario(seed, with_silencing=True),
-    "sweep": lambda seed: ex.robustness_scenario(seed),
-    "cartpole": lambda seed: ex.cartpole_scenario(seed),
-    "sparsity": lambda seed: ex.sparsity_scenario(seed),
+# Each subcommand's help and the `ex.SCENARIOS` name it builds (export-weights: by default).
+_COMMANDS = {
+    "estimate": ("spiking state estimation of the noisy spring-mass-damper", "estimation"),
+    "control": ("spiking LQG control of the SMD stair scenario (with neuron kills)",
+                "silencing"),
+    "sweep": ("sensor-noise x pulse-strength robustness grid", "robustness_sweep"),
+    "cartpole": ("stabilize the nonlinear cartpole about the upright pole", "cartpole"),
+    "sparsity": ("spike counts for several leak values at decoder norm 1", "sparsity"),
+    "export-weights": ("write the network weight file without running", "smd_control"),
 }
 
 # Config keys read by one subcommand, beside the scenario's own fields.
@@ -42,14 +36,6 @@ _LIST_KEYS = {"sweep.noise_grid": "sweep", "sweep.pulse_grid": "sweep",
 # A sparsity leak's output directory; {:g} keeps six significant digits.
 _LEAK_DIR = "lambda_{:g}"
 
-_EXPORT_SCENARIOS = {
-    "estimation": ex.estimation_scenario,
-    "smd_control": ex.smd_control_scenario,
-    "robustness_sweep": ex.robustness_scenario,
-    "cartpole": ex.cartpole_scenario,
-    "sparsity": ex.sparsity_scenario,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="analytically constructed spiking estimators and controllers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _RUN_HELP.items():
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key=value config file overriding defaults")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -69,19 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_scenario(command: str, args, cfg: dict):
-    builder = _BUILDERS.get(command, ex.smd_control_scenario)
+    name = _COMMANDS[command][1]
     if command == "export-weights":
-        which = cfg.pop("scenario", "smd_control")
-        if which not in _EXPORT_SCENARIOS:
-            raise ConfigError(
-                f"scenario must be one of {sorted(_EXPORT_SCENARIOS)}, got {which!r}")
-        builder = _EXPORT_SCENARIOS[which]
+        name = cfg.pop("scenario", name)
+        if name not in ex.SCENARIOS:
+            raise ConfigError(f"scenario must be one of {sorted(ex.SCENARIOS)}, got {name!r}")
     # Flags are applied as the config keys they stand for, so a bad flag
     # value is a usage error (exit 2) exactly like a bad config value.
     flags = {"seed": args.seed, "integration.dt": args.dt,
              "integration.duration": args.duration, "network.n_neurons": args.neurons}
     cfg.update({key: value for key, value in flags.items() if value is not None})
-    return apply_config(builder(0), cfg)
+    return apply_config(ex.SCENARIOS[name](0), cfg)
 
 
 def _write(out: Path, result):

@@ -12,11 +12,7 @@ import numpy as np
 from .experiments import DEFAULT_SILENCING, Scenario, stair_reference
 from .plants import PulseSchedule
 from .riccati import LqrCost
-from .state_space import _reraise
-
-
-class ConfigError(ValueError):
-    pass
+from .state_space import ConfigError, _reraise
 
 
 def parse_config(text: str) -> dict:

@@ -31,16 +31,13 @@ from .plants import (CARTPOLE_UP, CartpoleParams, PulseSchedule, SmdParams, _gri
 from .riccati import LqrCost, kalman_gain, lqr_gain
 from .scn import (NetworkDivergedError, ScnWeights, build_controller,
                   build_estimator, new_state, network_step, sample_decoder, silence)
-from .state_space import (LinearSystem, NoiseSource, StreamLabel, _require_finite,
-                          _reraise, make_rng)
+from .state_space import (ConfigError, LinearSystem, NoiseSource, StreamLabel,
+                          _require_finite, _reraise, make_rng)
 
 
 class PoleDroppedError(RuntimeError):
     pass
 
-
-SCENARIO_NAMES = ("estimation", "smd_control", "silencing", "robustness_sweep",
-                  "cartpole", "sparsity")
 
 DEFAULT_LAMBDAS = (0.0, 1.0, 10.0)
 DEFAULT_NOISE_GRID = tuple(np.logspace(-5, -1, 10))
@@ -111,7 +108,7 @@ class Scenario:
     pulse: PulseSchedule = None
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
+        if self.name not in SCENARIOS:
             raise ValueError(f"unknown scenario name {self.name!r}")
         if self.name == "estimation":  # run_estimation runs no controller
             for key in ("gamma_z", "cost", "reference", "pulse", "silencing"):
@@ -237,6 +234,13 @@ def sparsity_scenario(master_seed: int = 0) -> Scenario:
     )
 
 
+# Each scenario's factory of the master seed, by the name `Scenario` checks.
+SCENARIOS = {"estimation": estimation_scenario, "smd_control": smd_control_scenario,
+             "silencing": lambda seed=0: smd_control_scenario(seed, with_silencing=True),
+             "robustness_sweep": robustness_scenario, "cartpole": cartpole_scenario,
+             "sparsity": sparsity_scenario}
+
+
 @dataclass
 class Trajectory:
     time: np.ndarray
@@ -285,18 +289,23 @@ def _network(sc: Scenario, kc=None):
     network an estimator when the scenario has no cost. The decoders come
     from the seed's decoder stream, so scenarios that differ only in their
     noise get the same ones. A given `kc` stands in for the LQR gain, which
-    depends only on the plant and the cost; by default it is solved here."""
+    depends only on the plant and the cost; by default it is solved here.
+    A gain with no stabilizing solution raises ConfigError naming the gain
+    and the config keys it depends on."""
     A, B, C = _plant_matrices(sc.plant)
     system = LinearSystem(A=A, B=B, C=C, sigma_d=sc.sigma_d * np.eye(A.shape[0]),
                           sigma_n=sc.sigma_n * np.eye(C.shape[0]))
-    kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
+    with _reraise("no Kalman gain for plant.*, noise.sigma_d and noise.sigma_n: ",
+                  ConfigError):
+        kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
     rng = make_rng(sc.master_seed, StreamLabel.DECODER)
     dec_x = sample_decoder(system.state_dim, sc.n_neurons, sc.gamma_x, rng=rng)
     if sc.cost is None:
         return system, kf, None, build_estimator(system, kf, dec_x, sc.leak)
     dec_z = sample_decoder(system.state_dim, sc.n_neurons, sc.gamma_z or sc.gamma_x, rng=rng)
     if kc is None:
-        kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
+        with _reraise("no LQR gain for plant.*, cost.q and cost.r: ", ConfigError):
+            kc = lqr_gain(system.A, system.B, sc.cost.Q, sc.cost.R)
     return system, kf, kc, build_controller(system, kf, kc, dec_x, dec_z, sc.leak)
 
 
@@ -344,7 +353,8 @@ def _closed_loop(sc: Scenario):
     """The spiking network and the ideal LQG loop on the scenario's plant.
 
     Both loops consume the same per-step rows: the scenario's `_noise_rows`,
-    its reference on the grid and, when it has a pulse, the pulse force. The
+    its reference on the grid and, when it has a pulse, its force on both
+    controls: the magnitude on `PulseSchedule.window`'s steps, 0.0 elsewhere. The
     plant, start state, step and silencing schedule come from the scenario:
     the linear plant is stepped as x + dt (A x + B u) in network coordinates;
     the cartpole through `cartpole_dynamics`, its network coordinates taken
@@ -382,7 +392,8 @@ def _closed_loop(sc: Scenario):
     if kc is not None:
         z, zdot = sc.reference.sample_grid(n, dt)
         IN[:, p:p + K], IN[:, p + K:] = z, zdot
-        pulse = sc.pulse.profile(time) if sc.pulse is not None else None
+        pulse = sc.pulse
+        on, off = pulse.window(time) if pulse is not None else (n, n)
         dzv = weights.decoder_z.values
         ZH, U, OU = np.empty((n, K)), np.empty((n, P)), np.empty((n, P))
         ctrl = dict(z_hat=ZH, u=U, z=z, oracle_u=OU, oracle_x=OS[:n])
@@ -408,7 +419,8 @@ def _closed_loop(sc: Scenario):
             OXH[i] = est.x_hat
             OU[i] = uo = est.u
             if pulse is not None:
-                u, uo = u + pulse[i], uo + pulse[i]
+                force = pulse.magnitude if on <= i < off else 0.0
+                u, uo = u + force, uo + force
             if cart is None:
                 np.add(x + dt_arr * (A.dot(x) + B.dot(u)), wi, out=xn)
                 np.add(xo + dt_arr * (A.dot(xo) + B.dot(uo)), wi, out=xon)

@@ -129,9 +129,3 @@ class PulseSchedule:
     def window(self, tgrid: np.ndarray):
         """The steps [on, off) of the time grid `tgrid` the pulse is active on."""
         return _grid_steps(tgrid, [self.onset, self.onset + self.duration])
-
-    def profile(self, tgrid: np.ndarray) -> np.ndarray:
-        on, off = self.window(tgrid)
-        force = np.zeros(len(tgrid))
-        force[on:off] = self.magnitude
-        return force

@@ -36,6 +36,10 @@ def _require_finite(value, name: str, sign: str = None,
                                             rule=rule))
 
 
+class ConfigError(ValueError):
+    """A bad input, named by its config key: the CLI exits 2 on it."""
+
+
 @contextmanager
 def _reraise(prefix: str, error=ValueError, catch=ValueError):
     """Re-raise the block's `catch` errors as `error`, the message after `prefix`."""

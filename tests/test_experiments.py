@@ -112,6 +112,20 @@ def test_factory_defaults():
     assert sp.gamma_x == 1.0 and sp.duration == 10.0
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scenario_catalogue_builds_each_name(seed):
+    # One catalogue: each name's factory builds the scenario of that name, and
+    # `Scenario` takes no other name.
+    assert list(experiments.SCENARIOS) == ["estimation", "smd_control", "silencing",
+                                           "robustness_sweep", "cartpole", "sparsity"]
+    for name, factory in experiments.SCENARIOS.items():
+        sc = factory(seed)
+        assert (sc.name, sc.master_seed) == (name, seed)
+    assert experiments.SCENARIOS["silencing"](seed).silencing == list(
+        experiments.DEFAULT_SILENCING)
+    assert experiments.SCENARIOS["smd_control"](seed).silencing is None
+
+
 def test_scenario_validation():
     base = estimation_scenario(0)
     with pytest.raises(ValueError, match="unknown scenario name"):
@@ -517,8 +531,7 @@ def test_every_event_lands_on_the_grid_by_one_rule(dt, events):
     np.testing.assert_array_equal(z, 1.0 * (steps >= step(ref_1)) + (steps >= step(ref_2)))
     pulse = PulseSchedule(onset=onset, duration=end - onset, magnitude=300.0)
     on, off = step(pulse.onset), step(pulse.onset + pulse.duration)
-    np.testing.assert_array_equal(pulse.profile(time), np.where(
-        (steps >= on) & (steps < off), 300.0, 0.0))
+    assert tuple(pulse.window(time)) == (on, off)
     sc = replace(robustness_scenario(0), dt=dt, duration=n * dt, n_neurons=4,
                  reference=reference, pulse=pulse, silencing=[(kill, (0, 1))])
     assert sc.n_steps == n
@@ -1680,4 +1693,80 @@ def test_cli_export_weights_rejects_unknown_scenario(tmp_path, capsys):
     cfg.write_text("scenario = nonesuch\n")
     assert cli_main(["export-weights", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-    assert "scenario must be one of" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: scenario must be one of {sorted(experiments.SCENARIOS)}, got 'nonesuch'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_export_weights_of_silencing_is_the_smd_control_network(tmp_path):
+    # Silencing acts on a run, not on the weights: the two scenarios' networks
+    # are one file, byte for byte.
+    written = []
+    for scenario in ("silencing", "smd_control"):
+        cfg, out = tmp_path / f"{scenario}.cfg", tmp_path / scenario
+        cfg.write_text(f"scenario = {scenario}\nseed = 3\n")
+        assert cli_main(["export-weights", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append((out / "weights.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_cli_commands_build_the_scenario_their_entry_names(tmp_path, monkeypatch):
+    # Each subcommand runs the scenario of its `_COMMANDS` entry, from the
+    # catalogue at seed 0; export-weights by default, without a `scenario` key.
+    from spikecontrol import cli
+
+    class Ran(Exception):
+        pass
+
+    def capture(sc, *args):
+        raise Ran(sc)
+
+    for runner in ("run_estimation", "run_control", "run_robustness_sweep",
+                   "run_cartpole", "run_sparsity", "build_network"):
+        monkeypatch.setattr(experiments, runner, capture)
+    assert list(cli._COMMANDS) == ["estimate", "control", "sweep", "cartpole",
+                                   "sparsity", "export-weights"]
+    for command, (_, name) in cli._COMMANDS.items():
+        with pytest.raises(Ran) as ran:
+            cli.run([command, "--out", str(tmp_path / command)])
+        sc = ran.value.args[0]
+        assert sc.name == name, command
+        assert repr(sc) == repr(experiments.SCENARIOS[name](0)), command
+        assert not (tmp_path / command).exists()
+
+
+def test_cli_input_with_no_stabilizing_gain_names_its_keys(tmp_path, capsys, monkeypatch):
+    # An undamped plant with no process noise has no Kalman gain, and with no
+    # state cost no LQR gain. Each is a bad input: exit 2, one line naming the
+    # gain and the keys it depends on, one Riccati solve and no directory.
+    from spikecontrol import riccati
+
+    solves = []
+    solve_care = riccati.solve_care
+
+    def counted(*args):
+        solves.append(args)
+        return solve_care(*args)
+
+    monkeypatch.setattr(riccati, "solve_care", counted)
+    kalman = "error: no Kalman gain for plant.*, noise.sigma_d and noise.sigma_n: "
+    lqr = "error: no LQR gain for plant.*, cost.q and cost.r: "
+    for command, text, message, n_solves in (
+            ("control", "noise.sigma_d = 0", kalman, 1),
+            ("control", "cost.q = 0, 0", lqr, 2),
+            ("sweep", "noise.sigma_d = 0", kalman, 1),
+            ("export-weights", "noise.sigma_d = 0", kalman, 1),
+            ("estimate", "noise.sigma_d = 0", kalman, 1)):
+        cfg, out = tmp_path / "gain.cfg", tmp_path / "out"
+        cfg.write_text(f"plant.c = 0\n{text}\nintegration.duration = 0.2\n")
+        solves.clear()
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
+        assert capsys.readouterr().err.startswith(
+            message + "no stabilizing solution: Hamiltonian has 0 strictly stable"), text
+        assert len(solves) == n_solves, text
+        assert not out.exists(), text
+    # The library raises the same ConfigError, a ValueError.
+    sc = replace(smd_control_scenario(0), plant=SmdParams(m=20.0, k=6.0, c=0.0),
+                 sigma_d=0.0)
+    with pytest.raises(ConfigError, match=r"no Kalman gain for plant\.\*, noise\.sigma_d"):
+        run_control(sc)

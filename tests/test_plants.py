@@ -169,7 +169,8 @@ def test_cartpole_params_validation():
 def test_pulse_half_open_interval():
     pulse = PulseSchedule(onset=2.5, duration=0.2, magnitude=500.0)
     grid = np.array([2.4999, 2.5, 2.6, 2.6999, 2.7])
-    np.testing.assert_array_equal(pulse.profile(grid), [0.0, 500.0, 500.0, 500.0, 0.0])
+    # Active on steps 1, 2 and 3: 2.5 <= t < 2.7.
+    assert tuple(pulse.window(grid)) == (1, 4)
 
 
 def test_pulse_edges_follow_the_grid_rule():
@@ -179,10 +180,11 @@ def test_pulse_edges_follow_the_grid_rule():
     tgrid = np.arange(11000) * 1e-3
     for onset, duration, steps in ((9.8, 0.8, range(9800, 10600)),
                                    (0.1, 0.05, range(100, 150))):
-        on = PulseSchedule(onset, duration, 1.0).profile(tgrid) != 0.0
-        np.testing.assert_array_equal(np.flatnonzero(on), steps)
+        on, off = PulseSchedule(onset, duration, 1.0).window(tgrid)
+        assert (on, off) == (steps.start, steps.stop)
         ref = ReferenceSchedule([onset, onset + duration], [[1.0], [0.0]])
-        np.testing.assert_array_equal(ref.sample_grid(len(tgrid), 1e-3)[0][:, 0], on)
+        np.testing.assert_array_equal(
+            np.flatnonzero(ref.sample_grid(len(tgrid), 1e-3)[0][:, 0]), steps)
 
 
 def test_pulse_validation():

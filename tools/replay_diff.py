@@ -40,14 +40,14 @@ side by side, with BLAS pinned to one thread):
   number is written in exponent form), a 3 s `sparsity` at the default
   leaks and at leaks set by `sparsity.lambdas` (the sparsity stair starts
   at 2 s, so every leak's `spikes.csv` holds spikes), and `export-weights`
-  for each of its five `scenario` values, each writing its output directory
-  (so all six
-  subcommands, and every network mode `weights.json` can hold, are covered);
+  for each of the six scenarios as its `scenario` value, each writing its
+  output directory (so all six subcommands, and every network mode
+  `weights.json` can hold, are covered);
 - once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
-  of some subcommand, an `--out` under a regular file among them: its exit
-  code, its full stderr text and whether it made the output directory must
-  be equal, so a moved input rule cannot reword a message or start writing
-  output unnoticed;
+  of some subcommand, an `--out` under a regular file and plants with no
+  stabilizing Kalman or LQR gain among them: its exit code, its full stderr
+  text and whether it made the output directory must be equal, so a moved
+  input rule cannot reword a message or start writing output unnoticed;
 - unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
   length (A3 estimation, A4 control seeds 0-9, A5 silencing, A6 cartpole,
   A7's 5 x 5 sweep, A8's three leaks) and the equilibrium-quiet control run.
@@ -98,6 +98,11 @@ EDGE_REFERENCE = (0.02 + 5e-10, 0.06 - 5e-10, 0.1 + 2e-9, 0.14 - 2e-9)
 EDGE_PULSE = (0.05 - 2e-9, 0.21 + 5e-10)  # onset and end
 EDGE_SILENCING = [(0.08 + 2e-9, tuple(range(0, 50, 5))),
                   (0.17 - 5e-10, tuple(range(1, 50, 5)))]
+# The `scenario` values of export-weights, written out so that the tool runs
+# on trees older than the catalogue that lists them (such a tree refuses
+# `silencing`, and the refusal is compared like any output).
+EXPORT_SCENARIOS = ("estimation", "smd_control", "silencing", "robustness_sweep",
+                    "cartpole", "sparsity")
 # Bad inputs, as (command line, config file text or None); MISSING stands for
 # a config file that does not exist, FILE for a regular file.
 REFUSALS = [
@@ -180,6 +185,11 @@ REFUSALS = [
     ("cartpole", "plant.L = 0"),
     ("sweep", "pulse.duration = 0"),
     ("sweep", "pulse.onset = -1"),
+    # An undamped plant with no process noise has no Kalman gain; with no
+    # state cost, no LQR gain.
+    *((command, "plant.c = 0\nnoise.sigma_d = 0\nintegration.duration = 0.2")
+      for command in ("control", "sweep", "export-weights", "estimate")),
+    ("control", "plant.c = 0\ncost.q = 0, 0\nintegration.duration = 0.2"),
     *((f"{command} --out FILE/out", None)
       for command in ("control", "sweep", "export-weights")),
 ]
@@ -363,7 +373,7 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
         cases.append((f"cli-sparsity-lambdas-s{seed}", cli_run(
             "sparsity-lambdas", seed, ["sparsity", "--duration", "3"],
             "sparsity.lambdas = 0.5, 2, 20\n")))
-        for scenario in cli._EXPORT_SCENARIOS:
+        for scenario in EXPORT_SCENARIOS:
             cases.append((f"cli-export-{scenario}-s{seed}",
                           cli_run(f"export-{scenario}", seed, ["export-weights"],
                                   f"scenario = {scenario}\n")))
