@@ -1,10 +1,11 @@
 """Command-line runner: seeded experiments with CSV/JSON outputs.
 
-Each subcommand builds the `experiments.SCENARIOS` entry `_COMMANDS` names,
-applies an optional config file, then command-line flag overrides (flags win).
-Every input, --out included, is checked before the run, and --out is made
-only once the run has finished: a run that fails leaves nothing behind. Its
-files are trajectory.csv, spikes.csv, summary.json and weights.json (the sweep
+Each subcommand builds the `experiments.SCENARIOS` entry of its `_COMMANDS`
+row, applies an optional config file, then flag overrides (flags win), and
+runs it with the row's list keys. Every input, --out included, is checked
+before the first step (list entries by their runner), and --out is made only
+once the run has finished: a run that fails leaves nothing behind. Its files
+are trajectory.csv, spikes.csv, summary.json and weights.json (the sweep
 writes four error-matrix CSVs and summary.json, export-weights weights.json).
 """
 
@@ -16,22 +17,25 @@ from pathlib import Path
 from . import experiments as ex
 from .config import ConfigError, _want_tuple, apply_config, load_config
 from .scn import NetworkDivergedError, ScnWeights, save_weights
-from .state_space import _reraise
 
-# Each subcommand's help and the `ex.SCENARIOS` name it builds (export-weights: by default).
+# Each subcommand's help, the `ex.SCENARIOS` name it builds (export-weights: by
+# default), the list keys it reads beside the scenario's fields, and its run,
+# which looks its runner up in `ex` when called.
 _COMMANDS = {
-    "estimate": ("spiking state estimation of the noisy spring-mass-damper", "estimation"),
+    "estimate": ("spiking state estimation of the noisy spring-mass-damper", "estimation",
+                 (), lambda sc: ex.run_estimation(sc)),
     "control": ("spiking LQG control of the SMD stair scenario (with neuron kills)",
-                "silencing"),
-    "sweep": ("sensor-noise x pulse-strength robustness grid", "robustness_sweep"),
-    "cartpole": ("stabilize the nonlinear cartpole about the upright pole", "cartpole"),
-    "sparsity": ("spike counts for several leak values at decoder norm 1", "sparsity"),
-    "export-weights": ("write the network weight file without running", "smd_control"),
+                "silencing", (), lambda sc: ex.run_control(sc)),
+    "sweep": ("sensor-noise x pulse-strength robustness grid", "robustness_sweep",
+              ("sweep.noise_grid", "sweep.pulse_grid"),
+              lambda sc, **grids: ex.run_robustness_sweep(sc, **grids)),
+    "cartpole": ("stabilize the nonlinear cartpole about the upright pole", "cartpole",
+                 (), lambda sc: ex.run_cartpole(sc)),
+    "sparsity": ("spike counts for several leak values at decoder norm 1", "sparsity",
+                 ("sparsity.lambdas",), lambda sc, **lambdas: ex.run_sparsity(sc, **lambdas)),
+    "export-weights": ("write the network weight file without running", "smd_control",
+                       (), lambda sc: ex.build_network(sc)[1]),
 }
-
-# Config keys read by one subcommand, beside the scenario's own fields.
-_LIST_KEYS = {"sweep.noise_grid": "sweep", "sweep.pulse_grid": "sweep",
-              "sparsity.lambdas": "sparsity"}
 
 # A sparsity leak's output directory; {:g} keeps six significant digits.
 _LEAK_DIR = "lambda_{:g}"
@@ -43,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="analytically constructed spiking estimators and controllers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key=value config file overriding defaults")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -109,36 +113,23 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     cfg = load_config(args.config) if args.config else {}
-    # List keys that are not scenario fields; a single value is one entry.
+    # List keys are not scenario fields; a single value is one entry, passed
+    # to the runner as the argument the key names. The runner checks them.
     lists = {}
-    for key, owner in _LIST_KEYS.items():
-        if key in cfg:
+    for owner, (_, _, keys, _) in _COMMANDS.items():
+        for key in filter(cfg.__contains__, keys):
             if owner != command:
                 raise ConfigError(f"{key} is used only by the {owner} subcommand, "
                                   f"not by {command}")
-            lists[key] = _want_tuple(key, cfg.pop(key))
-    noise, pulse, lambdas = (lists.get(key) for key in _LIST_KEYS)
-    # The runners check their own lists; the checks run before any output.
-    if command == "sweep":
-        with _reraise("sweep.", ConfigError):
-            ex._sweep_grids(noise, pulse)
+            lists[key.partition(".")[2]] = _want_tuple(key, cfg.pop(key))
     sc = _build_scenario(command, args, cfg)
-    if command == "sparsity":
-        with _reraise("sparsity.", ConfigError):
-            runs = ex._sparsity_runs(sc, ex.DEFAULT_LAMBDAS if lambdas is None else lambdas)
-        dirs = [_LEAK_DIR.format(run.leak) for run in runs]
-        if len(set(dirs)) < len(dirs):
-            raise ConfigError("sparsity.lambdas: two leaks share the output directory "
-                              + max(dirs, key=dirs.count))
+    dirs = [_LEAK_DIR.format(lam) for lam in lists.get("lambdas", ())]
+    if len(set(dirs)) < len(dirs):
+        raise ConfigError("sparsity.lambdas: two leaks share the output directory "
+                          + max(dirs, key=dirs.count))
     out = Path(args.out) if args.out else Path("out") / command
     _check_out(out)
-    result = {"estimate": lambda: ex.run_estimation(sc),
-              "control": lambda: ex.run_control(sc),
-              "cartpole": lambda: ex.run_cartpole(sc),
-              "sparsity": lambda: ex.run_sparsity(sc, [run.leak for run in runs]),
-              "sweep": lambda: ex.run_robustness_sweep(sc, noise, pulse),
-              "export-weights": lambda: ex.build_network(sc)[1]}[command]()
-    _write(out, result)
+    _write(out, _COMMANDS[command][3](sc, **lists))
     return 0
 
 

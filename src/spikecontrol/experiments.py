@@ -284,18 +284,19 @@ def _plant_matrices(plant):
     raise TypeError(f"unsupported plant {type(plant).__name__}")
 
 
-def _network(sc: Scenario, kc=None):
+def _network(sc: Scenario, kc=None, sigma_n_key="noise.sigma_n"):
     """(system, K_f, K_c, weights) of the scenario; K_c is None and the
     network an estimator when the scenario has no cost. The decoders come
     from the seed's decoder stream, so scenarios that differ only in their
     noise get the same ones. A given `kc` stands in for the LQR gain, which
     depends only on the plant and the cost; by default it is solved here.
     A gain with no stabilizing solution raises ConfigError naming the gain
-    and the config keys it depends on."""
+    and the config keys it depends on, `sigma_n_key` for the one that set
+    the scenario's sigma_n."""
     A, B, C = _plant_matrices(sc.plant)
     system = LinearSystem(A=A, B=B, C=C, sigma_d=sc.sigma_d * np.eye(A.shape[0]),
                           sigma_n=sc.sigma_n * np.eye(C.shape[0]))
-    with _reraise("no Kalman gain for plant.*, noise.sigma_d and noise.sigma_n: ",
+    with _reraise(f"no Kalman gain for plant.*, noise.sigma_d and {sigma_n_key}: ",
                   ConfigError):
         kf = kalman_gain(system.A, system.C, system.sigma_d, system.sigma_n)
     rng = make_rng(sc.master_seed, StreamLabel.DECODER)
@@ -453,18 +454,18 @@ def run_estimation(sc: Scenario) -> Trajectory:
     return _closed_loop(sc)[0]
 
 
-def _lockstep(sc: Scenario, cells):
+def _lockstep(sc: Scenario, nets: dict, cells):
     """`_closed_loop` of several sweep cells on the linear plant, stepped in
     lockstep, recording only the plant positions the sweep's metrics read.
 
     A cell is a (sigma_n, pulse magnitude) pair: cell j is the closed loop of
     `replace(sc, sigma_n=sigma_n, pulse=replace(sc.pulse, magnitude=m))`, and
-    can differ from `sc` in nothing else. Each distinct sigma_n gets one
-    network from `_network`, shared by its cells; the batch's first network
-    solves the LQR gain, and the others reuse it. The cells share the rows
-    `_noise_rows` draws for `sc` at unit sensor variance; a cell scales the
-    sensor rows by its own sqrt(sigma_n), the same product `_noise_rows`
-    makes for that cell's scenario. Each step writes the cells' network
+    can differ from `sc` in nothing else. `nets` maps each cell's sigma_n to
+    `_network` of its scenario, all sharing one LQR gain; cells at one level
+    share its network. The cells share the rows `_noise_rows` draws for `sc`
+    at unit sensor variance; a cell scales the sensor rows by its own
+    sqrt(sigma_n), the same product `_noise_rows` makes for that cell's
+    scenario. Each step writes the cells' network
     inputs (y, z, zdot) into the rows of one buffer made before the loop.
     Each cell still gets its own `network_step` and `lqg_step` call per
     step. Its SCN and ideal plants are rows 2j and 2j + 1 of one stacked
@@ -482,9 +483,7 @@ def _lockstep(sc: Scenario, cells):
     """
     n, dt = sc.n_steps, sc.dt
     dt_arr = np.array(dt)  # the same product as a Python float, converted once
-    nets, kc = {}, None
-    for sn in dict.fromkeys(sn for sn, _ in cells):  # each distinct sigma_n once
-        system, _, kc, weights = nets[sn] = _network(replace(sc, sigma_n=sn), kc)
+    system, _, kc, weights = nets[cells[0][0]]  # the plant, K_c and decoders every level shares
     w, e_unit, eta = _noise_rows(replace(sc, sigma_n=1.0), system)
     z, zdot = sc.reference.sample_grid(n, dt)
     A, B, C = system.A, system.B, system.C
@@ -573,38 +572,18 @@ def run_cartpole(sc: Scenario) -> Trajectory:
     return _closed_loop(sc)[0]
 
 
-def _sparsity_runs(sc: Scenario, lambdas) -> list:
-    """The scenario at each leak of `lambdas`; a leak `Scenario` refuses is named."""
-    runs = []
-    for lam in map(float, lambdas):
-        with _reraise(f"lambdas entry {lam:g}: "):
-            runs.append(replace(sc, leak=lam))
-    if not runs:
-        raise ValueError("lambdas must be nonempty")
-    return runs
-
-
 def run_sparsity(sc: Scenario, lambdas=DEFAULT_LAMBDAS) -> list:
     """Re-run the sparsity scenario once per leak value: one control
-    Trajectory per leak, in order, each holding its leak and spike count."""
-    return [run_control(run) for run in _sparsity_runs(sc, lambdas)]
-
-
-def _sweep_grids(noise_grid, pulse_grid):
-    """The sweep's (noise, pulse) grids as 1-D arrays, defaults for None; names a bad entry."""
-    noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
-                            dtype=float)
-    pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
-                            dtype=float)
-    for name, grid in (("noise_grid", noise_grid), ("pulse_grid", pulse_grid)):
-        if grid.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
-    if noise_grid.size == 0 or pulse_grid.size == 0:
-        raise ValueError("grids must be nonempty")
-    _require_finite(noise_grid, "noise_grid", "positive",
-                    "{name} entry {bad:g} must be {rule}, like noise.sigma_n")
-    _require_finite(pulse_grid, "pulse_grid", message="{name} entry {bad:g} must be {rule}")
-    return noise_grid, pulse_grid
+    Trajectory per leak, in order, each holding its leak and spike count.
+    Every leak is checked as the scenario's leak before the first run; a bad
+    one raises ConfigError naming its `sparsity.lambdas` entry."""
+    runs = []
+    for lam in map(float, lambdas):
+        with _reraise(f"sparsity.lambdas entry {lam:g}: ", ConfigError):
+            runs.append(replace(sc, leak=lam))
+    if not runs:
+        raise ConfigError("sparsity.lambdas must be nonempty")
+    return [run_control(run) for run in runs]
 
 
 def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> SweepResult:
@@ -619,19 +598,36 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
     The metric per cell is the time-mean absolute position error |x1 - z1|
     after each step (RMSE is recorded alongside). A cell whose loop diverges or
     whose errors are not finite is recorded as NaN and listed in
-    failed_cells as (noise index, pulse index, message). The cells run
-    through `_lockstep` in batches of at most N // 2 (at least one). Each
-    batch draws its rows through `_noise_rows`, the voltage rows in blocks
-    of about 1 MiB, so a batch's n x 2B position record, which the metrics
-    read whole, is the sweep's largest array, and the cap holds it to n x N
-    floats. Each batch builds one network per distinct sigma_n in it and
-    solves the LQR gain once.
+    failed_cells as (noise index, pulse index, message). Before the first
+    step, a bad grid or a noise level with no Kalman gain raises ConfigError
+    naming its `sweep.*` key, and each distinct level's network is built,
+    the LQR gain solved once. The cells run through `_lockstep` in batches
+    of at most N // 2 (at least one). Each batch draws its rows through
+    `_noise_rows`, the voltage rows in blocks of about 1 MiB, so a batch's
+    n x 2B position record, which the metrics read whole, is the sweep's
+    largest array, and the cap holds it to n x N floats.
     """
     if sc.cost is None or sc.reference is None or sc.pulse is None:
         raise ValueError("sweep needs a cost, a reference and a pulse template")
     if not isinstance(sc.plant, SmdParams):
         raise ValueError("the sweep integrates the linear plant")
-    noise_grid, pulse_grid = _sweep_grids(noise_grid, pulse_grid)
+    with _reraise("sweep.", ConfigError):
+        noise_grid = np.asarray(DEFAULT_NOISE_GRID if noise_grid is None else noise_grid,
+                                dtype=float)
+        pulse_grid = np.asarray(DEFAULT_PULSE_GRID if pulse_grid is None else pulse_grid,
+                                dtype=float)
+        for name, grid in (("noise_grid", noise_grid), ("pulse_grid", pulse_grid)):
+            if grid.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+        if noise_grid.size == 0 or pulse_grid.size == 0:
+            raise ValueError("grids must be nonempty")
+        _require_finite(noise_grid, "noise_grid", "positive",
+                        "{name} entry {bad:g} must be {rule}, like noise.sigma_n")
+        _require_finite(pulse_grid, "pulse_grid", message="{name} entry {bad:g} must be {rule}")
+    nets, kc = {}, None
+    for sn in dict.fromkeys(noise_grid.tolist()):  # each distinct level once
+        nets[sn] = _network(replace(sc, sigma_n=sn), kc, f"sweep.noise_grid entry {sn:g}")
+        kc = nets[sn][2]
 
     z = sc.reference.sample_grid(sc.n_steps, sc.dt)[0][:, 0]
 
@@ -645,7 +641,7 @@ def run_robustness_sweep(sc: Scenario, noise_grid=None, pulse_grid=None) -> Swee
         cells = [(noise_grid[a], pulse_grid[b]) for a, b in batch]
         # A diverging cell's rows overflow; the cell is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            runs = _lockstep(sc, cells)
+            runs = _lockstep(sc, nets, cells)
         for (a, b), run in zip(batch, runs):
             if isinstance(run, NetworkDivergedError):
                 failed.append((a, b, str(run)))
@@ -708,10 +704,11 @@ def _errors(err: np.ndarray) -> tuple:
 
 
 def _phase_errors(traj: Trajectory) -> list:
-    """Position error per constant-reference segment; `_grid_steps` places its bounds."""
+    """Position error per constant-reference segment of the run, [0, duration):
+    a reference time at or before 0 bounds none. `_grid_steps` places the bounds."""
     duration = float(traj.scenario.duration)
     times = traj.scenario.reference.times
-    bounds = [0.0] + [float(t) for t in times if t < duration] + [duration]
+    bounds = [0.0] + [float(t) for t in times if 0 < t < duration] + [duration]
     steps = _grid_steps(traj.time, bounds)
     phases = []
     for start, end, on, off in zip(bounds, bounds[1:], steps, steps[1:]):

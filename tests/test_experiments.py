@@ -539,7 +539,8 @@ def test_every_event_lands_on_the_grid_by_one_rule(dt, events):
     # The lockstep engine places the pulse, the reference and the block where
     # the closed loop does, or the plant states would differ.
     traj, x_end, xo_end = experiments._closed_loop(sc)
-    [(positions, final, spikes)] = experiments._lockstep(sc, [(sc.sigma_n, 300.0)])
+    [(positions, final, spikes)] = experiments._lockstep(
+        sc, {sc.sigma_n: experiments._network(sc)}, [(sc.sigma_n, 300.0)])
     want = np.column_stack((np.append(traj.x[1:, 0], x_end[0]),
                             np.append(traj.oracle_x[1:, 0], xo_end[0])))
     assert _bitwise_equal(positions, want) and _bitwise_equal(final, [x_end, xo_end])
@@ -622,6 +623,21 @@ def test_summary_keys_and_phases(ctrl_silenced):
     hold = run_control(replace(robustness_scenario(7), duration=0.01))
     assert [(p["start"], p["end"], p["level"])
             for p in summarize(hold)["phase_errors"]] == [(0.0, 0.01, 1.0)]
+
+
+def test_phases_start_no_earlier_than_the_run():
+    # A reference time before the run starts its value at step 0, as a time
+    # of 0 does: the first phase starts at 0, not at that time, and every
+    # phase matches the one of the run whose reference starts at 0.
+    base = replace(smd_control_scenario(3), duration=0.01)
+    runs = [run_control(replace(base, reference=stair_reference([1.0, 2.0], [t, 0.005], 2)))
+            for t in (-1.0, 0.0)]
+    early, at_zero = (summarize(traj)["phase_errors"] for traj in runs)
+    assert [(p["start"], p["end"], p["level"]) for p in early] == [
+        (0.0, 0.005, 1.0), (0.005, 0.01, 2.0)]
+    assert early == at_zero
+    traj = runs[0]
+    assert early[0]["mae"] == float(np.abs(traj.x[:5, 0] - traj.z[:5, 0]).mean())
 
 
 def test_summary_estimation_uses_plant_as_reference(est_short):
@@ -887,7 +903,8 @@ def test_lockstep_batch_that_all_diverges_waits_for_its_draw(slow_worker_draws):
     base = robustness_scenario(2)
     sc = replace(base, dt=1e-3, duration=0.6, n_neurons=2000,
                  pulse=replace(base.pulse, onset=0.2, duration=0.3))
-    out = experiments._lockstep(sc, [(1e-7, 1e308), (1e-7, -1e308)])
+    nets = {1e-7: experiments._network(replace(sc, sigma_n=1e-7))}
+    out = experiments._lockstep(sc, nets, [(1e-7, 1e308), (1e-7, -1e308)])
     assert [str(err) for err in out] == ["network diverged at step 535 (t=0.535)"] * 2
     assert threading.active_count() == slow_worker_draws
 
@@ -1045,6 +1062,25 @@ def test_sweep_grids_must_be_one_dimensional(monkeypatch):
             run_robustness_sweep(sc, noise_grid=noise, pulse_grid=pulse)
 
 
+def test_sweep_refuses_a_bad_grid_as_a_config_error(monkeypatch):
+    # The sweep checks its grids itself, before any network is built, and
+    # names the key the CLI reads them from.
+    monkeypatch.setattr(experiments, "_network", None)
+    with pytest.raises(ConfigError) as err:
+        run_robustness_sweep(robustness_scenario(0), noise_grid=[-1])
+    assert str(err.value).startswith("sweep.noise_grid entry -1 must be finite and positive")
+
+
+def test_sparsity_refuses_a_bad_leak_as_a_config_error(monkeypatch):
+    # Every leak is checked before the first run, naming its entry.
+    monkeypatch.setattr(experiments, "run_control", None)
+    for lambdas in ([float("nan")], [1.0, float("nan")]):
+        with pytest.raises(ConfigError) as err:
+            run_sparsity(sparsity_scenario(0), lambdas)
+        assert str(err.value).startswith(
+            "sparsity.lambdas entry nan: leak = nan must be finite and nonnegative")
+
+
 def _lockstep_cells(monkeypatch, sc, noise_grid, pulse_grid):
     """(sweep result, each cell's `_lockstep` outcome in grid order, number of
     lockstep batches) of one sweep."""
@@ -1153,10 +1189,10 @@ def test_lockstep_cells_match_closed_loop_across_voltage_blocks(monkeypatch):
 
 def test_lockstep_builds_one_network_per_noise_level(monkeypatch):
     # Six neurons make two batches of three cells, each batch with two noise
-    # levels, 1e-3 among them twice. A batch builds each level's network once,
-    # through `_network`, which holds every gain solve and network build; the
-    # LQR gain is solved once per batch, and cells at one level share the
-    # network object.
+    # levels, 1e-3 among them twice. The sweep builds each level's network
+    # once, before the first batch, through `_network`, which holds every gain
+    # solve and network build; the LQR gain is solved once per sweep, and
+    # cells at one level share the network object across batches.
     calls, inside, built, stepped = Counter(), [], [], []
 
     def counting(name, fn):
@@ -1186,11 +1222,31 @@ def test_lockstep_builds_one_network_per_noise_level(monkeypatch):
     res, batches, messages = _match_closed_loop(monkeypatch, sc, [1e-3, 1e-2, 1e-3],
                                                 [300.0, 900.0])
     assert batches == 2 and messages == [] and res.failed_cells == []
-    assert calls == {("_network", False): 4, ("kalman_gain", True): 4,
-                     ("lqr_gain", True): 2, ("build_controller", True): 4,
-                     ("sample_decoder", True): 8}
+    assert calls == {("_network", False): 2, ("kalman_gain", True): 2,
+                     ("lqr_gain", True): 1, ("build_controller", True): 2,
+                     ("sample_decoder", True): 4}
     # Cells (0, 0), (0, 1), (1, 0) | (1, 1), (2, 0), (2, 1).
-    assert [[w is b for b in built].index(True) for w in stepped] == [0, 0, 1, 2, 3, 3]
+    assert [[w is b for b in built].index(True) for w in stepped] == [0, 0, 1, 1, 0, 0]
+
+
+def test_sweep_noise_level_with_no_kalman_gain_is_refused_before_any_step(
+        tmp_path, capsys, monkeypatch):
+    # Six neurons make batches of three cells, so the 1e-300 level, which
+    # has no Kalman gain, runs in the last batch. The sweep builds every
+    # level's network before its first step, and the refusal names the entry.
+    steps = []
+    step = experiments.network_step
+    monkeypatch.setattr(experiments, "network_step",
+                        lambda *args: steps.append(1) or step(*args))
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "out"
+    cfg.write_text("sweep.noise_grid = 1e-3, 1e-2, 1e-300\n"
+                   "sweep.pulse_grid = 300, 600, 900\n"
+                   "network.n_neurons = 6\nintegration.duration = 0.05\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: no Kalman gain for plant.*, noise.sigma_d and sweep.noise_grid entry "
+        "1e-300: no stabilizing solution")
+    assert steps == [] and not out.exists()
 
 
 def test_sweep_memory_is_bounded():
@@ -1646,6 +1702,24 @@ def test_cli_sparsity_outputs(tmp_path):
             assert (sub / name).is_file()
 
 
+def test_cli_sparsity_builds_each_leak_scenario_once(tmp_path, monkeypatch):
+    # The CLI hands the parsed leaks to `run_sparsity`, which checks them by
+    # building each leak's scenario, the one it runs.
+    leaks = []
+    build = experiments.replace
+
+    def counting(obj, **changes):
+        if isinstance(obj, Scenario) and "leak" in changes:
+            leaks.append(changes["leak"])
+        return build(obj, **changes)
+
+    monkeypatch.setattr(experiments, "replace", counting)
+    cfg = tmp_path / "sparsity.cfg"
+    cfg.write_text("sparsity.lambdas = 0.5, 2\nintegration.duration = 0.05\n")
+    assert cli_main(["sparsity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert leaks == [0.5, 2.0]
+
+
 def test_cli_sparsity_refuses_leaks_that_share_a_directory(tmp_path, capsys, monkeypatch):
     # Each leak writes into lambda_{leak:g}, which keeps six significant
     # digits, so two leaks that print alike would write one directory, the
@@ -1726,7 +1800,7 @@ def test_cli_commands_build_the_scenario_their_entry_names(tmp_path, monkeypatch
         monkeypatch.setattr(experiments, runner, capture)
     assert list(cli._COMMANDS) == ["estimate", "control", "sweep", "cartpole",
                                    "sparsity", "export-weights"]
-    for command, (_, name) in cli._COMMANDS.items():
+    for command, (_, name, *_) in cli._COMMANDS.items():
         with pytest.raises(Ran) as ran:
             cli.run([command, "--out", str(tmp_path / command)])
         sc = ran.value.args[0]
@@ -1738,7 +1812,9 @@ def test_cli_commands_build_the_scenario_their_entry_names(tmp_path, monkeypatch
 def test_cli_input_with_no_stabilizing_gain_names_its_keys(tmp_path, capsys, monkeypatch):
     # An undamped plant with no process noise has no Kalman gain, and with no
     # state cost no LQR gain. Each is a bad input: exit 2, one line naming the
-    # gain and the keys it depends on, one Riccati solve and no directory.
+    # gain and the keys it depends on, one Riccati solve and no directory. A
+    # sweep cell's sensor noise is its `sweep.noise_grid` entry, the first
+    # of the default grid here.
     from spikecontrol import riccati
 
     solves = []
@@ -1754,7 +1830,8 @@ def test_cli_input_with_no_stabilizing_gain_names_its_keys(tmp_path, capsys, mon
     for command, text, message, n_solves in (
             ("control", "noise.sigma_d = 0", kalman, 1),
             ("control", "cost.q = 0, 0", lqr, 2),
-            ("sweep", "noise.sigma_d = 0", kalman, 1),
+            ("sweep", "noise.sigma_d = 0",
+             kalman.replace("noise.sigma_n", "sweep.noise_grid entry 1e-05"), 1),
             ("export-weights", "noise.sigma_d = 0", kalman, 1),
             ("estimate", "noise.sigma_d = 0", kalman, 1)):
         cfg, out = tmp_path / "gain.cfg", tmp_path / "out"

@@ -23,6 +23,9 @@ side by side, with BLAS pinned to one thread):
   1e-3), through the runner, the sweep (so `_lockstep` places them too)
   and the CLI (reference and pulse only; the CLI sets no silencing time),
   so a change in where an event lands on the grid shows as a shifted step;
+- a 0.01 s control run through the CLI whose first reference time, -1 s,
+  is before the run, so its `phase_errors` show where the first phase
+  starts;
 - a 0.6 s cartpole run with a 50 N pulse and a third of the neurons silenced
   during it, the pole kept up, through the runner (so the nonlinear plant is
   stepped through the pulse and silencing branches), and a 0.6 s cartpole
@@ -45,7 +48,9 @@ side by side, with BLAS pinned to one thread):
   `weights.json` can hold, are covered);
 - once, a table of bad inputs (REFUSALS) through the CLI, each a usage error
   of some subcommand, an `--out` under a regular file and plants with no
-  stabilizing Kalman or LQR gain among them: its exit code, its full stderr
+  stabilizing Kalman or LQR gain among them (one a sweep whose last noise
+  level, 1e-300, has none, in its third batch, and one a sparsity run whose
+  two leaks are both NaN and share a directory): its exit code, its full stderr
   text and whether it made the output directory must be equal, so a moved
   input rule cannot reword a message or start writing output unnoticed;
 - unless --skip-acceptance, the scenarios of tests/test_acceptance.py at full
@@ -192,6 +197,12 @@ REFUSALS = [
     ("control", "plant.c = 0\ncost.q = 0, 0\nintegration.duration = 0.2"),
     *((f"{command} --out FILE/out", None)
       for command in ("control", "sweep", "export-weights")),
+    # A sweep noise level with no Kalman gain, last in the grid: six neurons
+    # make batches of three cells, so it is in the third batch.
+    ("sweep", "sweep.noise_grid = 1e-3, 1e-2, 1e-300\nsweep.pulse_grid = 300, 600, 900\n"
+              "network.n_neurons = 6\nintegration.duration = 0.05"),
+    # Two leaks that are both bad and would write one directory.
+    ("sparsity", "sparsity.lambdas = nan, nan"),
 ]
 
 
@@ -339,6 +350,10 @@ def _cases(seeds, acceptance: bool, cli_dir: Path):
             "reference.positions = 1, 2, 3, 4\n"
             f"pulse.onset = {onset!r}\npulse.duration = {end - onset!r}\n"
             "pulse.magnitude = 50\n")))
+        cases.append((f"cli-control-early-reference-s{seed}", cli_run(
+            "control-early-reference", seed, ["control"],
+            "integration.duration = 0.01\nreference.times = -1, 0.005\n"
+            "reference.positions = 1, 2\n")))
         # The silencing block falls inside the pulse, 0.28-0.33 s.
         cases.append((f"cartpole-pulse-silencing-s{seed}", lambda s=seed: ex.run_cartpole(
             replace(ex.cartpole_scenario(s), duration=0.6,
